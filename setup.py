@@ -31,9 +31,6 @@ setup(
         # (backend="numba"); everything works without it, this is a
         # pure speed upgrade -- schedules are bit-identical either way
         "fast": ["numba>=0.57"],
-        # parquet segments for the columnar record store (repro pack
-        # --store parquet); the jsonl and npz backends need nothing
-        "columnar": ["pyarrow"],
         # production event loop for the scheduling service: `repro
         # serve` itself is pure stdlib (http.server); this extra adds
         # uvicorn for running the bundled ASGI app

@@ -19,13 +19,18 @@ the stacked grid crosses the Python boundary once and the compiled
 backends thread across scenarios (OpenMP / numba ``prange``), GIL-free,
 with bit-identical per-scenario results for any thread count.
 
+There are two executors and one record-assembly path
+(:func:`_scenario_records`): ``workers=1`` runs in process, and
+``workers > 1`` (or ``supervise=True`` / ``pool=...``) runs the same
+per-tree slices as work units of the fault-tolerant
+:class:`~repro.analysis.supervisor.SupervisorPool`.
+
 Execution properties, all property-tested:
 
 * **Deterministic order.** Scenarios expand p-major then
   algorithm-major (then cap-major), matching the historical
   ``run_experiments`` stream; records are collected in submission
-  order, so serial, pooled, shared-memory and sharded runs are
-  byte-identical.
+  order, so in-process and pooled runs are byte-identical.
 * **Resumable checkpoints.** With ``checkpoint=path`` every record is
   appended to a record store (flushed per record) -- the historical
   JSONL file, or a columnar segment store with ``store="columnar"``
@@ -35,31 +40,23 @@ Execution properties, all property-tested:
   -- a resumed JSONL file is byte-for-byte identical to an
   uninterrupted run, and a resumed columnar store packs to the same
   bytes.
-* **Sharding.** Very large single trees (``shard_nodes=``) have their
-  scenario slice split into contiguous chunks across the pool; combined
-  with the shared-memory transport the workers attach zero-copy to one
-  block, so intra-tree fan-out costs O(1) payload per chunk.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from collections import OrderedDict
+import threading
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
-
-import numpy as np
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro import registry
 from repro.core.prepared import PreparedTree
 from repro.core.simulator import simulate
-from repro.core.tree import TaskTree
 from repro.testing import faults
 from repro.workloads.dataset import TreeInstance, PROCESSOR_COUNTS
 
 from .experiments import FailedRecord, ScenarioRecord
 from .store import RecordStore, open_store
-from .supervisor import CampaignAborted
+from .supervisor import CampaignAborted, SupervisorPool
 
 __all__ = ["Campaign", "Scenario", "run_campaign", "recover_checkpoint"]
 
@@ -151,7 +148,7 @@ class Campaign:
 
 
 # ----------------------------------------------------------------------
-# workers: one PreparedTree per (tree, worker), reused across the slice
+# record assembly: one PreparedTree per tree, reused across its slice
 # ----------------------------------------------------------------------
 def _scenario_records(
     name: str,
@@ -159,50 +156,46 @@ def _scenario_records(
     scenarios: Sequence[Scenario],
     validate: bool,
     threads: int | None = None,
-    megabatch: bool = True,
-) -> list[ScenarioRecord]:
-    """Records of one scenario slice against one shared preparation.
+) -> Iterator[ScenarioRecord]:
+    """Records of one scenario slice against one shared preparation,
+    yielded in slice order.
 
     The sequential memory lower bound is computed once per tree and
     shared across every scenario, exactly as in the paper (the bound
     does not depend on ``p``), and every run reuses the prepared rank
     permutations and typed sweep columns.
 
-    With ``megabatch`` (the default) every scenario whose algorithm
-    registers a sweep spec is swept in **one batched kernel call**
-    (thread-parallel across scenarios; see
-    :func:`repro.core.engine.sweep_batch`); the rest -- the
-    subtree-splitting family, sequential traversals -- run unbatched at
-    their position in the slice. Records (and any scenario error) are
-    emitted in slice order either way, so the stream is byte-identical
-    to the unbatched path.
+    Every scenario whose algorithm registers a sweep spec is swept in
+    **one batched kernel call** (thread-parallel across scenarios; see
+    :func:`repro.core.engine.sweep_batch`) before the first record; the
+    rest -- the subtree-splitting family, sequential traversals -- run
+    unbatched at their position in the slice. A scenario's error is
+    raised at its slice position, after the records before it.
     """
-    mem_lb = prepared.optimal().peak_memory
-    outcomes: dict[int, Any] = {}
-    if megabatch:
-        from repro.core.engine import sweep_batch
+    from repro.core.engine import sweep_batch
 
-        specs = []
-        idxs: list[int] = []
-        backend: str | None = None
-        for i, sc in enumerate(scenarios):
-            params = dict(sc.params)
-            spec = registry.get(sc.algorithm).batch_spec(prepared, sc.p, **params)
-            if spec is None:
-                continue
-            b = params.get("backend")
-            if not idxs:
-                backend = b
-            elif b != backend:
-                # mixed per-scenario backends (hand-built slices only):
-                # batch the leading backend, run the rest unbatched.
-                continue
-            specs.append(spec)
-            idxs.append(i)
-        if idxs:
-            run = sweep_batch(prepared, specs, backend=backend, threads=threads)
-            outcomes = dict(zip(idxs, run.outcomes))
-    records: list[ScenarioRecord] = []
+    mem_lb = prepared.optimal().peak_memory
+    specs = []
+    idxs: list[int] = []
+    backend: str | None = None
+    for i, sc in enumerate(scenarios):
+        params = dict(sc.params)
+        spec = registry.get(sc.algorithm).batch_spec(prepared, sc.p, **params)
+        if spec is None:
+            continue
+        b = params.get("backend")
+        if not idxs:
+            backend = b
+        elif b != backend:
+            # mixed per-scenario backends (hand-built slices only):
+            # batch the leading backend, run the rest unbatched.
+            continue
+        specs.append(spec)
+        idxs.append(i)
+    outcomes: dict[int, Any] = {}
+    if idxs:
+        run = sweep_batch(prepared, specs, backend=backend, threads=threads)
+        outcomes = dict(zip(idxs, run.outcomes))
     for i, sc in enumerate(scenarios):
         out = outcomes.get(i)
         if out is None:
@@ -212,139 +205,16 @@ def _scenario_records(
         else:
             schedule = out
         result = simulate(schedule, validate=validate)
-        records.append(
-            ScenarioRecord(
-                tree=name,
-                n=prepared.n,
-                p=sc.p,
-                heuristic=sc.label,
-                makespan=result.makespan,
-                memory=result.peak_memory,
-                memory_lb=mem_lb,
-                makespan_lb=prepared.makespan_lower_bound(sc.p),
-            )
+        yield ScenarioRecord(
+            tree=name,
+            n=prepared.n,
+            p=sc.p,
+            heuristic=sc.label,
+            makespan=result.makespan,
+            memory=result.peak_memory,
+            memory_lb=mem_lb,
+            makespan_lb=prepared.makespan_lower_bound(sc.p),
         )
-    return records
-
-
-#: process-local cache of prepared trees for sharded shared-memory
-#: groups (several chunks of one tree may land on the same worker).
-_PREPARED_CACHE: "OrderedDict[tuple, PreparedTree]" = OrderedDict()
-_PREPARED_CACHE_SIZE = 2
-
-
-def _prepared_cached(key: tuple, tree: TaskTree) -> PreparedTree:
-    prepared = _PREPARED_CACHE.get(key)
-    if prepared is None:
-        prepared = PreparedTree(tree)
-        _PREPARED_CACHE[key] = prepared
-        while len(_PREPARED_CACHE) > _PREPARED_CACHE_SIZE:
-            _PREPARED_CACHE.popitem(last=False)
-    else:
-        _PREPARED_CACHE.move_to_end(key)
-    return prepared
-
-
-def _campaign_slice(payload: tuple) -> list[ScenarioRecord]:
-    """Pool entry point: prepare the payload's tree once, run its slice."""
-    if payload[0] == "shm":
-        _, shm_name, d, scenarios, validate, threads, megabatch = payload
-        shm = _shm_attach(shm_name)
-        views = _shm_views(shm.buf, d["base"], d["n"])
-        for v in views:  # the block is shared across workers: never writable
-            v.setflags(write=False)
-        tree = TaskTree(*views)
-        prepared = _prepared_cached((shm_name, d["base"]), tree)
-        name = d["name"]
-    else:
-        _, inst, scenarios, validate, threads, megabatch = payload
-        prepared = PreparedTree(inst.tree)
-        name = inst.name
-    return _scenario_records(name, prepared, scenarios, validate, threads, megabatch)
-
-
-# ----------------------------------------------------------------------
-# shared-memory transport: workers attach to one block of tree arrays
-# instead of unpickling per-tree copies
-# ----------------------------------------------------------------------
-
-#: process-local cache of attached blocks (one entry per pool lifetime).
-_SHM_ATTACHED: dict = {}
-
-
-def _shm_views(buf, base: int, n: int) -> tuple[np.ndarray, ...]:
-    """The four typed views of one tree inside a block: ``parent``
-    (int64) then ``w``, ``f``, ``sizes`` (float64), contiguous at
-    ``base`` -- 32 bytes per node. Single source of truth for the
-    layout, used both when packing and when attaching."""
-    return (
-        np.ndarray(n, dtype=np.int64, buffer=buf, offset=base),
-        np.ndarray(n, dtype=np.float64, buffer=buf, offset=base + 8 * n),
-        np.ndarray(n, dtype=np.float64, buffer=buf, offset=base + 16 * n),
-        np.ndarray(n, dtype=np.float64, buffer=buf, offset=base + 24 * n),
-    )
-
-
-def _shm_pack(instances: Sequence[TreeInstance]):
-    """Copy every instance's tree arrays into one shared-memory block.
-
-    Returns the block and one small picklable descriptor per instance.
-    The block is unlinked before re-raising if packing fails partway, so
-    aborted campaigns never leave named segments behind.
-    """
-    from multiprocessing import shared_memory
-
-    total = sum(inst.tree.n for inst in instances) * 32
-    shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    try:
-        descriptors = []
-        base = 0
-        for inst in instances:
-            t = inst.tree
-            for view, src in zip(
-                _shm_views(shm.buf, base, t.n), (t.parent, t.w, t.f, t.sizes)
-            ):
-                view[:] = src
-            descriptors.append({"name": inst.name, "n": t.n, "base": base})
-            base += 32 * t.n
-    except BaseException:
-        shm.close()
-        shm.unlink()
-        raise
-    return shm, descriptors
-
-
-def _shm_attach(name: str):
-    """Attach to a block once per worker process (cached).
-
-    Ownership stays with the creator: only the parent unlinks. On
-    Python < 3.13 attaching *also* registers the block with the
-    resource tracker (bpo-38119), which would make a worker's tracker
-    consider it leaked and destroy it; suppress that registration
-    (newer Pythons expose ``track=False`` for exactly this).
-    """
-    shm = _SHM_ATTACHED.get(name)
-    if shm is None:
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # Python < 3.13
-            from multiprocessing import resource_tracker
-
-            original_register = resource_tracker.register
-
-            def register(rname, rtype):  # pragma: no cover - trivial shim
-                if rtype != "shared_memory":
-                    original_register(rname, rtype)
-
-            resource_tracker.register = register
-            try:
-                shm = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = original_register
-        _SHM_ATTACHED[name] = shm
-    return shm
 
 
 # ----------------------------------------------------------------------
@@ -400,13 +270,6 @@ def _recover_with_offsets(
     return records, offsets, pos
 
 
-def _split_slices(items: Sequence, parts: int) -> list[Sequence]:
-    """Split ``items`` into ``parts`` contiguous, near-equal chunks."""
-    parts = max(1, min(parts, len(items)))
-    bounds = np.linspace(0, len(items), parts + 1).astype(int)
-    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
 def run_campaign(
     instances: Iterable[TreeInstance],
     campaign: Campaign,
@@ -414,23 +277,19 @@ def run_campaign(
     workers: int = 1,
     checkpoint: str | None = None,
     resume: bool = False,
-    store: "str | RecordStore | None" = None,
-    shared_memory: bool = False,
-    chunksize: int = 1,
+    store: str | RecordStore | None = None,
     progress: bool = False,
-    shard_nodes: int | None = None,
     threads: int | None = None,
-    megabatch: bool = True,
     supervise: bool = False,
     retries: int = 2,
     timeout: float | None = None,
     backoff: float = 0.25,
-    fault_plan: "faults.FaultPlan | None" = None,
+    fault_plan: faults.FaultPlan | None = None,
     retry_failed: bool = False,
     report: list | None = None,
-    pool: "SupervisorPool | None" = None,
-    prepare: "Callable[[TreeInstance], PreparedTree] | None" = None,
-    abort: "threading.Event | None" = None,
+    pool: SupervisorPool | None = None,
+    prepare: Callable[[TreeInstance], PreparedTree] | None = None,
+    abort: threading.Event | None = None,
 ) -> list[ScenarioRecord | FailedRecord]:
     """Execute a campaign grid, optionally resuming a checkpoint.
 
@@ -439,9 +298,8 @@ def run_campaign(
     instances, campaign:
         the trees and the declarative grid to run over them.
     workers:
-        multiprocessing pool size; 1 runs in process. Any value yields
-        the identical record stream (groups are dispatched and
-        collected in order).
+        worker processes; 1 runs in process, more run supervised (see
+        ``supervise``). Any value yields the identical record stream.
     checkpoint:
         JSONL path receiving every record as soon as it exists (flushed
         per record). Without ``resume`` the file is truncated first.
@@ -453,47 +311,29 @@ def run_campaign(
         finished file is byte-identical to an uninterrupted run.
     store:
         record-store backend for the checkpoint: ``"jsonl"`` (default
-        for ``.jsonl`` paths), ``"columnar"`` (directory of npz column
-        segments + JSONL tail; see :mod:`repro.analysis.store`) or
-        ``"parquet"`` (requires pyarrow), or a ready
-        :class:`~repro.analysis.store.RecordStore` instance (then
+        for ``.jsonl`` paths) or ``"columnar"`` (directory of npz column
+        segments + JSONL tail; see :mod:`repro.analysis.store`), or a
+        ready :class:`~repro.analysis.store.RecordStore` instance (then
         ``checkpoint`` may be omitted). Every backend honours the same
         crash-safe resume contract, and the record *stream* is
         identical across backends (property-tested) -- columnar runs
         pack back to byte-identical JSONL.
-    shared_memory:
-        ship tree arrays to workers through one
-        ``multiprocessing.shared_memory`` block (zero-copy attach).
-    chunksize:
-        work units per pool task.
     progress:
         print one line per completed tree.
-    shard_nodes:
-        when set and ``workers > 1``, trees with at least this many
-        nodes have their scenario slice split across up to ``workers``
-        contiguous chunks (each chunk re-prepares the tree, so this
-        pays off when the per-scenario work dominates the preparation
-        -- very large trees, many scenarios). Record order is
-        unchanged.
     threads:
-        worker threads of the megabatch kernel call (default:
-        ``REPRO_NUM_THREADS`` or the usable core count). Never affects
-        results. With a worker pool, each worker threads its own
-        batches, so pick ``workers * threads <= cores``.
-    megabatch:
-        sweep each tree's batchable scenarios in one thread-parallel
-        kernel call (default). ``False`` restores the per-scenario
-        loop; the record stream is byte-identical either way.
+        threads of each megabatch kernel call (default: in process,
+        ``REPRO_NUM_THREADS`` or the usable core count; pooled, that
+        count shared out among the workers). Never affects results.
     supervise:
         run the grid under the fault-tolerant worker pool of
-        :mod:`repro.analysis.supervisor`: dedicated worker processes
-        with crash/hang detection, per-scenario retries with
-        exponential backoff, quarantine of poison scenarios as
-        :class:`FailedRecord` stream entries, and per-worker backend
-        health probing with graceful degradation (c -> numba ->
-        python). Scenarios are dispatched one at a time (``megabatch``
-        and ``shard_nodes`` do not apply); the record stream -- and the
-        checkpoint -- is byte-identical to the unsupervised modes.
+        :mod:`repro.analysis.supervisor` even with one worker (implied
+        by ``workers > 1``): dedicated worker processes with crash/hang
+        detection, per-scenario retries with exponential backoff,
+        quarantine of poison scenarios as :class:`FailedRecord` stream
+        entries, and per-worker backend health probing with graceful
+        degradation (c -> numba -> python). Each tree's slice is one
+        work unit, assembled exactly as in process; the record stream
+        -- and the checkpoint -- is byte-identical to an in-process run.
     retries:
         supervised mode: how many times a scenario is *re*-tried after
         an environmental failure (crash, timeout, transient error)
@@ -533,8 +373,8 @@ def run_campaign(
         apart from its leased scratch rows).
     abort:
         a ``threading.Event``; once set, the run stops between
-        scenarios (supervised) or work units (in-process / pooled)
-        by raising :class:`~repro.analysis.supervisor.CampaignAborted`.
+        scenarios (supervised) or trees (in process) by raising
+        :class:`~repro.analysis.supervisor.CampaignAborted`.
         Everything already emitted is in the checkpoint, so a resumed
         run continues exactly where the aborted one stopped.
     """
@@ -587,158 +427,59 @@ def run_campaign(
         else:
             ckstore.reset()  # truncate: the stream restarts
 
-    # Work units: (group index, remaining scenario slice); large trees
-    # are sharded into several contiguous units of the same group.
-    units: list[tuple[int, Sequence[Scenario]]] = []
-    for gi, (inst, grp) in enumerate(zip(instances, groups)):
-        rest = grp[done[gi] :]
-        if not rest:
-            continue
-        shards = 1
-        if workers > 1 and shard_nodes is not None and inst.tree.n >= shard_nodes:
-            shards = min(workers, len(rest))
-        for chunk in _split_slices(rest, shards):
-            units.append((gi, chunk))
-
     computed: list[list[ScenarioRecord | FailedRecord]] = [[] for _ in groups]
-    remaining_units = [0] * len(groups)
-    for gi, _ in units:
-        remaining_units[gi] += 1
+    left = [len(grp) - done[gi] for gi, grp in enumerate(groups)]
 
-    def consume(results: Iterable[list[ScenarioRecord]]) -> None:
-        for (gi, _), recs in zip(units, results):
-            if abort is not None and abort.is_set():
-                raise CampaignAborted(
-                    f"campaign aborted with {remaining_units[gi]} unit(s) "
-                    f"of {instances[gi].name} outstanding"
-                )
-            computed[gi].extend(recs)
-            if ckstore is not None:
-                ckstore.append(recs)
-            remaining_units[gi] -= 1
-            if progress and remaining_units[gi] == 0:  # pragma: no cover - cosmetic
-                print(f"  done {instances[gi].name} (n={instances[gi].tree.n})")
+    def collect(gi: int, recs: list[ScenarioRecord | FailedRecord]) -> None:
+        computed[gi].extend(recs)
+        if ckstore is not None:
+            ckstore.append(recs)
+        left[gi] -= len(recs)
+        if progress and left[gi] == 0:  # pragma: no cover - cosmetic
+            print(f"  done {instances[gi].name} (n={instances[gi].tree.n})")
 
-    if supervise or pool is not None:
-        from .supervisor import run_supervised
-
-        # Per-scenario dispatch: the units flatten back into the exact
-        # campaign stream (sharding only splits, never reorders).
-        tasks = [(gi, sc) for gi, chunk in units for sc in chunk]
-        left = [len(grp) - done[gi] for gi, grp in enumerate(groups)]
-
-        def emit(gi: int, record: ScenarioRecord | FailedRecord) -> None:
-            computed[gi].append(record)
-            if ckstore is not None:
-                ckstore.append([record])
-            left[gi] -= 1
-            if progress and left[gi] == 0:  # pragma: no cover - cosmetic
-                print(f"  done {instances[gi].name} (n={instances[gi].tree.n})")
-
+    if workers > 1 or supervise or pool is not None:
+        tasks = [(gi, sc) for gi, grp in enumerate(groups) for sc in grp[done[gi] :]]
         # Install a programmatic plan parent-side too, so checkpoint
         # appends (which happen in this process) see truncate faults.
         if fault_plan is not None:
             faults.install(fault_plan)
+        own = pool is None
+        if own:
+            pool = SupervisorPool(
+                workers=workers, backend=campaign.backend, fault_plan=fault_plan
+            )
         try:
-            if pool is not None:
-                run_report = pool.run(
-                    instances,
-                    tasks,
-                    validate=campaign.validate,
-                    retries=retries,
-                    timeout=timeout,
-                    backoff=backoff,
-                    shared_memory=shared_memory,
-                    emit=emit,
-                    abort=abort,
-                )
-            else:
-                run_report = run_supervised(
-                    instances,
-                    tasks,
-                    validate=campaign.validate,
-                    backend=campaign.backend,
-                    workers=max(1, workers),
-                    retries=retries,
-                    timeout=timeout,
-                    backoff=backoff,
-                    fault_plan=fault_plan,
-                    shared_memory=shared_memory,
-                    emit=emit,
-                    abort=abort,
-                )
+            run_report = pool.run(
+                instances,
+                tasks,
+                validate=campaign.validate,
+                retries=retries,
+                timeout=timeout,
+                backoff=backoff,
+                threads=threads,
+                emit=lambda gi, record: collect(gi, [record]),
+                abort=abort,
+            )
         finally:
+            if own:
+                pool.close()
             if fault_plan is not None:
                 faults.install(None)
         if report is not None:
             report.append(run_report)
-    elif workers > 1 and units:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context()
-        if shared_memory:
-            need = sorted({gi for gi, _ in units})
-            shm, descriptors = _shm_pack([instances[gi] for gi in need])
-            desc_of = dict(zip(need, descriptors))
-            try:
-                payloads = [
-                    (
-                        "shm",
-                        shm.name,
-                        desc_of[gi],
-                        tuple(chunk),
-                        campaign.validate,
-                        threads,
-                        megabatch,
-                    )
-                    for gi, chunk in units
-                ]
-                with ctx.Pool(processes=workers) as pool:
-                    consume(pool.imap(_campaign_slice, payloads, chunksize=chunksize))
-            finally:
-                shm.close()
-                shm.unlink()
-        else:
-            payloads = [
-                (
-                    "inst",
-                    instances[gi],
-                    tuple(chunk),
-                    campaign.validate,
-                    threads,
-                    megabatch,
-                )
-                for gi, chunk in units
-            ]
-            with ctx.Pool(processes=workers) as pool:
-                # imap (not imap_unordered): chunks complete out of order
-                # but are *collected* in submission order, so the record
-                # stream is byte-identical to the serial run.
-                consume(pool.imap(_campaign_slice, payloads, chunksize=chunksize))
     else:
-        # In-process: one preparation per tree, shared across its units.
-        def run_serial():
-            prepared_group = -1
-            prepared = None
-            for gi, chunk in units:
-                if gi != prepared_group:
-                    inst = instances[gi]
-                    prepared = (
-                        prepare(inst) if prepare is not None
-                        else PreparedTree(inst.tree)
-                    )
-                    prepared_group = gi
-                yield _scenario_records(
-                    instances[gi].name,
-                    prepared,
-                    chunk,
-                    campaign.validate,
-                    threads,
-                    megabatch,
-                )
-
-        consume(run_serial())
+        for gi, inst in enumerate(instances):
+            rest = groups[gi][done[gi] :]
+            if not rest:
+                continue
+            prepared = prepare(inst) if prepare is not None else PreparedTree(inst.tree)
+            recs = list(
+                _scenario_records(inst.name, prepared, rest, campaign.validate, threads)
+            )
+            if abort is not None and abort.is_set():
+                raise CampaignAborted(f"campaign aborted before the records of {inst.name}")
+            collect(gi, recs)
 
     if ckstore is not None:
         ckstore.finalize()  # columnar: seal the tail for pure-array reads

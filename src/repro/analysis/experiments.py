@@ -9,17 +9,14 @@ implemented in :mod:`repro.analysis.metrics` /
 
 :func:`run_experiments` is now a thin configuration of the declarative
 campaign runner (:mod:`repro.analysis.campaign`): the scenario grid is
-grouped by tree, each worker builds one
-:class:`~repro.core.prepared.PreparedTree` per tree and runs its whole
-slice of the grid against the shared preparation. Fanning across a
-``multiprocessing`` pool (``workers=N``) dispatches groups in order, so
-the parallel run produces **byte-identical** records to the serial one
-(property-tested). With ``shared_memory=True`` the trees' numpy arrays
-are placed in one ``multiprocessing.shared_memory`` block and workers
-attach zero-copy views instead of unpickling per-tree copies. Records
-can be streamed to JSONL as each tree completes (``stream_to=...``),
-which bounds memory on large campaigns and leaves a resumable on-disk
-trail (see :func:`repro.analysis.campaign.run_campaign` for resuming);
+grouped by tree, and each tree's slice runs against one shared
+:class:`~repro.core.prepared.PreparedTree` -- in process, or with
+``workers=N`` as one work unit of the supervised worker pool, which
+produces **byte-identical** records to the serial run
+(property-tested). Records can be streamed to JSONL as each tree
+completes (``stream_to=...``), which bounds memory on large campaigns
+and leaves a resumable on-disk trail (see
+:func:`repro.analysis.campaign.run_campaign` for resuming);
 ``save_records`` / ``load_records`` support both the historical JSON
 array format and append-friendly JSON Lines, and both write paths are
 crash-safe: array writes go through a temp file plus atomic rename,
@@ -108,8 +105,6 @@ def run_experiments(
     progress: bool = False,
     workers: int = 1,
     stream_to: str | None = None,
-    chunksize: int = 1,
-    shared_memory: bool = False,
     backend: str | None = None,
     supervise: bool = False,
     retries: int = 2,
@@ -118,9 +113,8 @@ def run_experiments(
     """Run the full cross product of the paper's Section 6 campaign.
 
     A thin configuration of :func:`repro.analysis.campaign.run_campaign`
-    (which adds cap-factor grids, resumable checkpoints and intra-tree
-    sharding on top); kept for the historical call sites and the paper's
-    default grid.
+    (which adds cap-factor grids and resumable checkpoints on top);
+    kept for the historical call sites and the paper's default grid.
 
     Parameters
     ----------
@@ -134,36 +128,29 @@ def run_experiments(
     progress:
         print one line per completed tree.
     workers:
-        size of the ``multiprocessing`` pool; 1 (default) runs in
-        process. Results are identical for any ``workers`` value --
-        trees are dispatched and collected in order, and each worker
-        prepares a tree once for its whole slice of the grid.
+        worker processes; 1 (default) runs in process, more run the
+        supervised worker pool (a failing scenario then becomes a
+        ``FailedRecord`` instead of raising). Results are identical for
+        any ``workers`` value -- trees are dispatched and collected in
+        order, and each worker prepares a tree once for its whole slice
+        of the grid.
     stream_to:
         optional ``.jsonl`` path; each tree's records are appended as
         soon as they are available (the file is truncated first), with
         a flush after every record so an interrupted campaign leaves at
         most one truncated line behind.
-    chunksize:
-        work units per pool task (larger values amortise IPC on big
-        grids).
-    shared_memory:
-        place every tree's arrays in one
-        ``multiprocessing.shared_memory`` block; workers attach
-        zero-copy views instead of unpickling per-tree copies. Only
-        engaged when ``workers > 1``; results are byte-identical either
-        way (property-tested). The block is unlinked before returning.
     backend:
         engine sweep backend forwarded to every algorithm that declares
         it (``"auto"``/``"python"``/``"numba"``/``"c"``); with
-        ``workers > 1`` each pool worker selects/compiles its backend
-        independently, so parallel campaigns fan out compiled sweeps.
+        ``workers > 1`` the pool's first worker health-probes it and
+        every worker sweeps with the surviving backend.
         All backends are bit-identical, so records do not depend on it.
     supervise, retries, timeout:
         run under the fault-tolerant supervised worker pool (crash and
         hang detection, bounded retries with backoff, quarantine of
-        poison scenarios, per-worker backend degradation); see
-        :func:`repro.analysis.campaign.run_campaign`. The record
-        stream stays byte-identical to the unsupervised modes.
+        poison scenarios, per-worker backend degradation) even with
+        one worker; see :func:`repro.analysis.campaign.run_campaign`.
+        The record stream stays byte-identical to the in-process run.
     """
     from .campaign import Campaign, run_campaign
 
@@ -179,8 +166,6 @@ def run_experiments(
         campaign,
         workers=workers,
         checkpoint=stream_to,
-        shared_memory=shared_memory,
-        chunksize=chunksize,
         progress=progress,
         supervise=supervise,
         retries=retries,
@@ -244,7 +229,7 @@ def save_records(
 
 
 def _is_store_dir(path: str) -> bool:
-    """True when ``path`` is a directory record store (columnar/parquet
+    """True when ``path`` is a directory record store (columnar
     manifest layout; see :mod:`repro.analysis.store`)."""
     return os.path.exists(os.path.join(str(path), "manifest.json"))
 
@@ -282,7 +267,7 @@ def load_records(
     keeps seeing only measured records; pass ``include_failed=True`` to
     get them interleaved at their stream positions.
 
-    Directory record stores (columnar / parquet; see
+    Directory record stores (columnar; see
     :mod:`repro.analysis.store`) load transparently -- any path written
     by a ``--store columnar`` campaign reads back through the same
     function, with identical record streams.

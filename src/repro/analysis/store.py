@@ -4,7 +4,7 @@ Campaign output has always been flat JSONL -- perfect for crash-safe
 streaming (append one line per record, flush, fsync), terrible for
 million-record analysis (every consumer re-parses and loops per
 record). This module puts a small :class:`RecordStore` abstraction
-behind the existing contract with three backends:
+behind the existing contract with two backends:
 
 * :class:`JsonlStore` -- the historical format, byte-for-byte unchanged
   (appends delegate to :func:`~repro.analysis.experiments.save_records`,
@@ -17,11 +17,7 @@ behind the existing contract with three backends:
   tail reaches ``seal_rows`` records it is *sealed*: parsed once,
   written as one columnar segment, and the manifest is atomically
   flipped. Analysis then loads columns with ``np.load`` instead of a
-  million ``json.loads`` calls;
-* :class:`ParquetStore` -- the same layout with parquet segments, for
-  interop with dataframe tooling. Import-guarded: ``pyarrow`` is an
-  optional extra (``pip install '.[columnar]'``) and every other
-  backend works without it, mirroring the numba story.
+  million ``json.loads`` calls.
 
 Crash-safety of the columnar backend (the resume contract of
 :func:`repro.analysis.campaign.run_campaign` must hold verbatim):
@@ -71,7 +67,6 @@ __all__ = [
     "RecordStore",
     "JsonlStore",
     "ColumnarStore",
-    "ParquetStore",
     "open_store",
     "pack_store",
     "merge_stores",
@@ -80,7 +75,7 @@ __all__ = [
 ]
 
 #: selectable backend names (``auto`` resolves by path / manifest)
-STORE_BACKENDS = ("auto", "jsonl", "columnar", "parquet")
+STORE_BACKENDS = ("auto", "jsonl", "columnar")
 
 #: tail records per columnar segment (override: ``REPRO_STORE_SEAL_ROWS``)
 DEFAULT_SEAL_ROWS = 65536
@@ -383,7 +378,7 @@ class JsonlStore(RecordStore):
         if not str(path).endswith(".jsonl"):
             raise ValueError(
                 "stream checkpoint must be a .jsonl path (append-friendly); "
-                "directory stores need --store columnar/parquet"
+                "directory stores need --store columnar"
             )
         self.path = str(path)
 
@@ -436,7 +431,6 @@ class ColumnarStore(RecordStore):
     """Directory of sealed npz segments + JSONL tail (see module doc)."""
 
     backend = "columnar"
-    _segment_ext = ".npz"
 
     def __init__(self, path: str, seal_rows: int | None = None):
         self.path = str(path)
@@ -643,7 +637,7 @@ class ColumnarStore(RecordStore):
     def _publish_segment(self, m: dict, cols: RecordColumns) -> dict:
         """Write ``cols`` as the next segment file (atomic), return its
         manifest entry. The manifest itself is NOT rewritten here."""
-        fname = f"seg-{m['next_id']:06d}{self._segment_ext}"
+        fname = f"seg-{m['next_id']:06d}.npz"
         tmp = os.path.join(self.path, f".seg.tmp.{os.getpid()}.{fname}")
         final = os.path.join(self.path, fname)
         try:
@@ -802,58 +796,6 @@ class ColumnarStore(RecordStore):
         self._tail_rows = 0
 
 
-def _require_pyarrow():
-    try:
-        import pyarrow  # noqa: F401
-        import pyarrow.parquet as pq
-    except ImportError as exc:  # pragma: no cover - env-dependent
-        raise RuntimeError(
-            "the parquet store backend requires pyarrow "
-            "(pip install 'tree-sched-repro[columnar]'); "
-            "the jsonl and columnar (npz) backends work without it"
-        ) from exc
-    return pq
-
-
-class ParquetStore(ColumnarStore):
-    """The columnar layout with parquet segments (optional: pyarrow)."""
-
-    backend = "parquet"
-    _segment_ext = ".parquet"
-
-    def __init__(self, path: str, seal_rows: int | None = None):
-        _require_pyarrow()
-        super().__init__(path, seal_rows=seal_rows)
-
-    def _segment_write(self, cols: RecordColumns, target: str) -> None:
-        import pyarrow as pa
-
-        pq = _require_pyarrow()
-        table = pa.table(
-            {name: np.asarray(arr) for name, arr in cols.arrays().items()}
-        )
-        with open(target, "wb") as fh:
-            pq.write_table(table, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def _segment_read(self, path: str) -> RecordColumns:
-        pq = _require_pyarrow()
-        table = pq.read_table(path)
-        out = {}
-        for name in _ALL_COLS:
-            col = table.column(name).to_pylist()
-            if name in _STR_COLS:
-                out[name] = _str_array(col)
-            elif name in _INT_COLS:
-                out[name] = np.asarray(col, np.int64)
-            elif name == "failed":
-                out[name] = np.asarray(col, bool)
-            else:
-                out[name] = np.asarray(col, np.float64)
-        return RecordColumns(**out)
-
-
 # ----------------------------------------------------------------------
 # resolution, conversion, merging
 # ----------------------------------------------------------------------
@@ -864,8 +806,7 @@ def open_store(
 
     ``backend="auto"`` resolves ``.jsonl`` paths to the JSONL backend
     and existing store directories to whatever their manifest says; a
-    fresh directory store must be named explicitly (``columnar`` /
-    ``parquet``).
+    fresh directory store must be named explicitly (``columnar``).
     """
     if backend not in STORE_BACKENDS:
         raise ValueError(
@@ -877,15 +818,13 @@ def open_store(
         if os.path.exists(manifest):
             with open(manifest) as fh:
                 backend = json.load(fh).get("backend", "columnar")
-            if backend not in ("columnar", "parquet"):
+            if backend != "columnar":
                 raise ValueError(f"{manifest}: unknown store backend {backend!r}")
         else:
             backend = "jsonl"
     if backend == "jsonl":
         return JsonlStore(path)
-    if backend == "columnar":
-        return ColumnarStore(path, seal_rows=seal_rows)
-    return ParquetStore(path, seal_rows=seal_rows)
+    return ColumnarStore(path, seal_rows=seal_rows)
 
 
 def pack_store(src: str | RecordStore, dst: str | RecordStore, backend: str = "auto") -> int:

@@ -1,17 +1,23 @@
 """Supervised campaign execution: a fault-tolerant worker pool.
 
-The plain pool path of :func:`repro.analysis.campaign.run_campaign`
-trusts its workers: a crashed or wedged process hangs the whole
-``pool.imap`` collection loop and loses every record after the last
-flushed chunk. This module replaces that trust with supervision. Each
-worker is a dedicated ``multiprocessing.Process`` with its **own task
-queue** and a shared result queue; the supervisor assigns exactly one
-scenario to a worker at a time, so when a worker dies its in-flight
-casualty is known precisely, and when it wedges past the per-scenario
-timeout it is killed and its scenario re-queued.
+Every pooled run of :func:`repro.analysis.campaign.run_campaign`
+(``workers > 1``, ``supervise=True`` or ``pool=...``) executes here.
+Each worker is a dedicated ``multiprocessing.Process`` with its **own
+task queue** and a shared result queue. The supervisor hands a worker
+one **work unit** at a time -- the remaining scenario slice of one tree
+-- and the worker builds its records through the campaign's own
+record-assembly path (``campaign._scenario_records``: one prepared tree
+per unit, one megabatch kernel call for its engine scenarios). The
+worker reports every scenario as it goes (a ``"start"``, then its
+record), so when a worker dies or wedges past the per-scenario timeout
+the supervisor knows exactly which scenarios of its unit are still
+unsettled.
 
 Failure policy
 --------------
+* **A failing work unit** (error, crash or timeout) of more than one
+  scenario is not charged: its unsettled scenarios go back into the
+  queue as single-scenario units, to which the rules below apply.
 * **Crashes / timeouts / environmental errors** (a worker OOM-killed,
   a ``MemoryError``, an injected ``os._exit``) charge one attempt and
   the scenario is retried with bounded exponential backoff
@@ -34,7 +40,7 @@ attempt) produced it. The supervisor exploits this: results are
 accepted even from workers that were already killed for a timeout, and
 records are emitted strictly in the campaign's scenario-stream order
 through a write cursor -- which is what makes a supervised run's
-checkpoint **byte-identical** to the plain pool's, faults or not
+checkpoint **byte-identical** to an in-process run's, faults or not
 (property-tested by the chaos suite).
 
 Backend degradation
@@ -70,18 +76,16 @@ import os
 import queue as queue_mod
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 from repro import registry
-from repro.core.engine import MemoryCapError, probe_backend
+from repro.core.engine import MemoryCapError, default_threads, probe_backend
 from repro.core.prepared import PreparedTree
-from repro.core.simulator import simulate
-from repro.core.tree import TaskTree
 from repro.testing import faults
 from repro.workloads.dataset import TreeInstance
 
-from .experiments import FailedRecord, ScenarioRecord
+from .experiments import FailedRecord
 
 __all__ = [
     "AttemptLog",
@@ -185,35 +189,20 @@ class RunReport:
 # worker side
 # ----------------------------------------------------------------------
 def _prepared_for(
-    transport: tuple, gi: int, cache: "OrderedDict[int, tuple]"
-) -> tuple[PreparedTree, str, float]:
-    """The (prepared tree, name, memory lower bound) of group ``gi``,
-    cached per worker (campaign streams are grouped by tree, so a tiny
-    LRU keeps the preparation cost at one per (tree, worker))."""
-    ent = cache.get(gi)
-    if ent is None:
-        if transport[0] == "shm":
-            from .campaign import _shm_attach, _shm_views
-
-            _, shm_name, descriptors = transport
-            d = descriptors[gi]
-            shm = _shm_attach(shm_name)
-            views = _shm_views(shm.buf, d["base"], d["n"])
-            for v in views:  # shared across workers: never writable
-                v.setflags(write=False)
-            prepared = PreparedTree(TaskTree(*views))
-            name = d["name"]
-        else:
-            inst = transport[1][gi]
-            prepared = PreparedTree(inst.tree)
-            name = inst.name
-        ent = (prepared, name, prepared.optimal().peak_memory)
-        cache[gi] = ent
+    instances: Sequence[TreeInstance], gi: int, cache: "OrderedDict[int, PreparedTree]"
+) -> PreparedTree:
+    """The prepared tree of group ``gi``, cached per worker (a retried
+    single-scenario unit usually lands on a worker that just prepared
+    its tree, so a tiny LRU keeps the cost at one per (tree, worker))."""
+    prepared = cache.get(gi)
+    if prepared is None:
+        prepared = cache[gi] = PreparedTree(instances[gi].tree)
         while len(cache) > 2:
             cache.popitem(last=False)
     else:
         cache.move_to_end(gi)
-    return ent
+    return prepared
+
 
 def _worker_main(
     wid: int,
@@ -224,17 +213,23 @@ def _worker_main(
     probed: tuple | None,
 ) -> None:
     """Supervised worker: probe (or adopt the pool's cached probe),
-    then run scenarios until the ``None`` sentinel.
+    then run work units until the ``None`` sentinel.
 
-    The task queue interleaves ``("begin", epoch, transport, validate)``
-    control messages -- one per run, resetting the prepared cache --
-    with ``("task", epoch, seq, gi, sc, attempt)`` assignments. Every
-    message is ``put`` *before* the next blocking ``get`` on the task
-    queue, and the supervisor only assigns the next scenario after
-    consuming the previous result -- so an injected crash (which fires
-    before any message of its scenario) can never tear a message of an
-    earlier scenario out of the queue's feeder thread.
+    The task queue interleaves ``("begin", epoch, instances, validate,
+    threads)`` control messages -- one per run, resetting the prepared
+    cache -- with ``("task", epoch, gi, [(seq, scenario, attempt),
+    ...])`` units of one tree. Every scenario of a unit fires its fault
+    hooks and announces itself with a ``"start"``, then its record is
+    taken from the unit's record stream and sent as ``"ok"``; a failure
+    sends one ``"err"`` for the scenario at hand and abandons the unit.
+    Every message is ``put`` *before* the next blocking ``get`` on the
+    task queue, and the supervisor only assigns the next unit after
+    consuming the previous one's results -- so an injected crash (which
+    fires before any message of its scenario) can never tear a message
+    of an earlier scenario out of the queue.
     """
+    from . import campaign
+
     faults.install(faults.FaultPlan.from_json(plan_json) if plan_json else None)
     if probed is not None:
         chosen, skipped = probed[0], [tuple(s) for s in probed[1]]
@@ -248,9 +243,10 @@ def _worker_main(
         did_probe = True
     result_q.put(("ready", wid, chosen, skipped, did_probe))
     epoch = 0
-    transport: tuple = ("inst", [])
+    instances: Sequence[TreeInstance] = []
     validate = False
-    cache: "OrderedDict[int, tuple]" = OrderedDict()
+    threads = None
+    cache: "OrderedDict[int, PreparedTree]" = OrderedDict()
     parent = os.getppid()
     while True:
         try:
@@ -266,33 +262,35 @@ def _worker_main(
         if msg is None:
             return
         if msg[0] == "begin":
-            _, epoch, transport, validate = msg
+            _, epoch, instances, validate, threads = msg
             cache.clear()  # group indices are per-run
             continue
-        _, ep, seq, gi, sc, attempt = msg
-        key = faults.scenario_key(sc.tree, sc.label, sc.p)
-        faults.maybe_crash(key, seq, attempt)
-        result_q.put(("start", wid, ep, seq, attempt))
-        faults.maybe_slow(key, seq, attempt)
+        _, ep, gi, unit = msg
+        records = None
         t0 = time.monotonic()
         try:
-            prepared, name, mem_lb = _prepared_for(transport, gi, cache)
-            params = registry.apply_backend(sc.algorithm, dict(sc.params), chosen)
-            schedule = registry.run(sc.algorithm, prepared, sc.p, **params)
-            result = simulate(schedule, validate=validate)
-            record = ScenarioRecord(
-                tree=name,
-                n=prepared.n,
-                p=sc.p,
-                heuristic=sc.label,
-                makespan=result.makespan,
-                memory=result.peak_memory,
-                memory_lb=mem_lb,
-                makespan_lb=prepared.makespan_lower_bound(sc.p),
-            )
-            result_q.put(
-                ("ok", wid, ep, seq, attempt, record, time.monotonic() - t0)
-            )
+            for seq, sc, attempt in unit:
+                key = faults.scenario_key(sc.tree, sc.label, sc.p)
+                faults.maybe_crash(key, seq, attempt)
+                result_q.put(("start", wid, ep, seq, attempt))
+                faults.maybe_slow(key, seq, attempt)
+                t0 = time.monotonic()
+                if records is None:  # the first scenario pays for the unit
+                    pinned = [
+                        replace(s, params=tuple(registry.apply_backend(s.algorithm, s.params, chosen).items()))
+                        for _, s, _ in unit
+                    ]
+                    records = campaign._scenario_records(
+                        instances[gi].name,
+                        _prepared_for(instances, gi, cache),
+                        pinned,
+                        validate,
+                        threads,
+                    )
+                record = next(records)
+                result_q.put(
+                    ("ok", wid, ep, seq, attempt, record, time.monotonic() - t0)
+                )
         except Exception as exc:
             result_q.put(
                 (
@@ -332,7 +330,7 @@ class _Worker:
         self.proc = proc
         self.task_q = task_q
         self.ready = False
-        self.busy: int | None = None  # seq currently assigned
+        self.busy: list[int] | None = None  # seqs of the unit in flight
         self.deadline: float | None = None
         self.timed_out = False
         self.born = now
@@ -445,18 +443,21 @@ class SupervisorPool:
         retries: int = 2,
         timeout: float | None = None,
         backoff: float = 0.25,
-        shared_memory: bool = False,
+        threads: int | None = None,
         emit: Callable[[int, Any], None],
         abort=None,
     ) -> RunReport:
         """Run ``tasks`` (a ``(group index, Scenario)`` stream) supervised.
 
+        Consecutive tasks of the same group form one work unit.
         ``emit(gi, record)`` is called once per scenario **in stream
         order** with a :class:`ScenarioRecord` or (for quarantined
-        scenarios) a :class:`FailedRecord`. ``abort`` is an optional
+        scenarios) a :class:`FailedRecord`. ``threads`` is each
+        worker's megabatch thread count (default: the usable cores
+        shared out among the workers). ``abort`` is an optional
         ``threading.Event``; once set, the run raises
         :class:`CampaignAborted` at the next loop turn (in-flight
-        workers finish their scenario in the background and the epoch
+        workers finish their unit in the background and the epoch
         filter discards the stale results). Returns the
         :class:`RunReport`. Raises ``RuntimeError`` if no worker can
         find a usable backend or the respawn budget is exhausted.
@@ -481,20 +482,25 @@ class SupervisorPool:
         attempts_used = [0] * n
         eligible = [0.0] * n  # monotonic time a retry becomes runnable
         cursor = 0  # next seq to emit
+        # Units not in flight, in stream order: one per run of tasks of
+        # the same group, and single-scenario units for retries.
+        pending: list[list[int]] = []
+        for seq, (gi, _) in enumerate(tasks):
+            if pending and tasks[pending[-1][-1]][0] == gi:
+                pending[-1].append(seq)
+            else:
+                pending.append([seq])
 
-        shm = None
-        if shared_memory and n:
-            from .campaign import _shm_pack
+        def requeue(units: list[list[int]]) -> None:
+            pending.extend(units)
+            pending.sort(key=lambda unit: unit[0])
 
-            need = sorted({gi for gi, _ in tasks})
-            shm, descriptors = _shm_pack([instances[gi] for gi in need])
-            transport: tuple = ("shm", shm.name, dict(zip(need, descriptors)))
-        else:
-            transport = ("inst", list(instances))
-        begin = ("begin", epoch, transport, validate)
+        if threads is None:
+            threads = max(1, default_threads() // workers)
+        begin = ("begin", epoch, list(instances), validate, threads)
 
         spawned_this_run = 0
-        max_spawns = workers + n * (retries + 1) + 8
+        max_spawns = workers + len(pending) + n * (retries + 1) + 8
 
         def spawn() -> _Worker:
             nonlocal spawned_this_run
@@ -509,22 +515,29 @@ class SupervisorPool:
             w.task_q.put(begin)
             return w
 
-        def charge(w: _Worker, status: str, detail: str, seconds: float = 0.0) -> None:
-            """Charge the worker's in-flight scenario with a failed attempt."""
-            seq = w.busy
+        def fail(
+            w: _Worker,
+            status: str,
+            detail: str,
+            seconds: float = 0.0,
+            deterministic: bool = False,
+        ) -> None:
+            """The worker's unit failed: charge a single scenario with a
+            failed attempt, or split a larger unit uncharged."""
+            unit = w.busy
             w.busy = None
             w.deadline = None
-            if seq is None or outcome[seq] is not None:
-                return  # a stale casualty: the scenario already has a result
+            rest = [seq for seq in unit or () if outcome[seq] is None]
+            if not rest:
+                return  # a stale casualty: the unit already has its results
+            if len(unit) > 1:
+                requeue([[seq] for seq in rest])
+                return
+            (seq,) = rest
             attempts_used[seq] += 1
             report.scenarios[seq].attempts.append(
                 AttemptLog(attempts_used[seq] - 1, w.wid, status, detail, seconds)
             )
-            deterministic = status == "error" and detail.startswith("_det:")
-            if deterministic:
-                detail = detail[len("_det:"):]
-                report.scenarios[seq].attempts[-1].detail = detail
-            now = time.monotonic()
             if deterministic or attempts_used[seq] > retries:
                 gi, sc = tasks[seq]
                 outcome[seq] = FailedRecord(
@@ -537,7 +550,10 @@ class SupervisorPool:
                 )
                 report.scenarios[seq].status = "failed"
             else:
-                eligible[seq] = now + backoff * (2 ** (attempts_used[seq] - 1))
+                eligible[seq] = time.monotonic() + backoff * (
+                    2 ** (attempts_used[seq] - 1)
+                )
+                requeue([[seq]])
 
         result_q = self._result_q
         pool = self._pool
@@ -555,10 +571,9 @@ class SupervisorPool:
                 w.task_q.put(begin)
                 if w.ready:  # its "ready" was consumed by an earlier run
                     report.backends.append((w.wid, w.chosen, list(w.skipped)))
-            while len(pool) < min(workers, n):
+            while len(pool) < min(workers, len(pending)):
                 pool.append(spawn())
 
-            next_probe = 0  # lowest seq that might still need dispatching
             while cursor < n:
                 if abort is not None and abort.is_set():
                     raise CampaignAborted(
@@ -566,30 +581,26 @@ class SupervisorPool:
                     )
                 now = time.monotonic()
 
-                # 1. assign runnable scenarios to ready idle workers
+                # 1. assign runnable units to ready idle workers
                 idle = [w for w in pool if w.ready and w.busy is None]
                 if idle:
-                    in_flight = {w.busy for w in pool if w.busy is not None}
-                    seq = next_probe
+                    # a late result of a killed worker may have settled
+                    # a requeued single
+                    pending[:] = [u for u in pending if outcome[u[0]] is None]
                     for w in idle:
-                        while seq < n and (
-                            outcome[seq] is not None
-                            or seq in in_flight
-                            or eligible[seq] > now
-                        ):
-                            seq += 1
-                        if seq >= n:
+                        unit = next((u for u in pending if eligible[u[0]] <= now), None)
+                        if unit is None:
                             break
-                        gi, sc = tasks[seq]
-                        w.busy = seq
+                        pending.remove(unit)
+                        w.busy = unit
                         w.deadline = None  # armed on the "start" message
                         w.timed_out = False
-                        w.task_q.put(("task", epoch, seq, gi, sc, attempts_used[seq]))
-                        in_flight.add(seq)
-                        seq += 1
-                    # advance the probe past the settled prefix only
-                    while next_probe < n and outcome[next_probe] is not None:
-                        next_probe += 1
+                        w.task_q.put((
+                            "task",
+                            epoch,
+                            tasks[unit[0]][0],
+                            [(seq, tasks[seq][1], attempts_used[seq]) for seq in unit],
+                        ))
 
                 # 2. drain the result queue (wait one poll tick, slurp)
                 msgs = []
@@ -619,30 +630,26 @@ class SupervisorPool:
                     ep = msg[2]
                     if ep != epoch:
                         continue  # stale result from an aborted earlier run
+                    seq = msg[3]
+                    mine = w is not None and w.busy is not None and seq in w.busy
                     if kind == "start":
-                        _, _, _, seq, attempt = msg
-                        if w is not None and w.busy == seq and timeout is not None:
+                        if mine and timeout is not None:
                             w.deadline = time.monotonic() + timeout
                     elif kind == "ok":
-                        _, _, _, seq, attempt, record, seconds = msg
+                        _, _, _, _, attempt, record, seconds = msg
                         if outcome[seq] is None:  # accept even from killed workers
                             outcome[seq] = record
                             attempts_used[seq] = attempt + 1
                             report.scenarios[seq].attempts.append(
                                 AttemptLog(attempt, wid, "ok", "", seconds)
                             )
-                        if w is not None and w.busy == seq:
+                        if mine and seq == w.busy[-1]:
                             w.busy = None
                             w.deadline = None
                     elif kind == "err":
-                        _, _, _, seq, attempt, detail, deterministic, seconds = msg
-                        if w is not None and w.busy == seq:
-                            charge(
-                                w,
-                                "error",
-                                ("_det:" + detail) if deterministic else detail,
-                                seconds,
-                            )
+                        _, _, _, _, attempt, detail, deterministic, seconds = msg
+                        if mine:
+                            fail(w, "error", detail, seconds, deterministic)
 
                 # 3. wedged workers: past their per-scenario deadline -> kill
                 now = time.monotonic()
@@ -651,7 +658,7 @@ class SupervisorPool:
                         w.timed_out = True
                         w.proc.kill()
 
-                # 4. dead workers: charge the in-flight casualty, respawn
+                # 4. dead workers: fail the in-flight unit, respawn
                 for i, w in enumerate(pool):
                     if w.proc.is_alive():
                         if not w.ready and now - w.born > _READY_TIMEOUT:
@@ -661,10 +668,10 @@ class SupervisorPool:
                             )
                         continue
                     if w.timed_out:
-                        charge(w, "timeout", f"exceeded {timeout:g}s; worker killed")
+                        fail(w, "timeout", f"exceeded {timeout:g}s; worker killed")
                     else:
                         code = w.proc.exitcode
-                        charge(w, "crash", f"worker died (exit code {code})")
+                        fail(w, "crash", f"worker died (exit code {code})")
                     w.proc.join()
                     w.task_q.close()
                     w.task_q.cancel_join_thread()
@@ -688,12 +695,6 @@ class SupervisorPool:
                     cursor += 1
         finally:
             self._pool = pool
-            if shm is not None:
-                # Mappings workers still hold stay valid after unlink
-                # (POSIX); their cached views are dropped at the next
-                # run's "begin" or at pool close.
-                shm.close()
-                shm.unlink()
 
         report.elapsed = time.monotonic() - t_run
         return report
@@ -710,7 +711,6 @@ def run_supervised(
     timeout: float | None = None,
     backoff: float = 0.25,
     fault_plan: "faults.FaultPlan | None" = None,
-    shared_memory: bool = False,
     emit: Callable[[int, Any], None],
     poll: float = 0.05,
     abort=None,
@@ -719,10 +719,9 @@ def run_supervised(
 
     See :meth:`SupervisorPool.run` for the contract.
     """
-    pool = SupervisorPool(
+    with SupervisorPool(
         workers=workers, backend=backend, fault_plan=fault_plan, poll=poll
-    )
-    try:
+    ) as pool:
         return pool.run(
             instances,
             tasks,
@@ -730,9 +729,6 @@ def run_supervised(
             retries=retries,
             timeout=timeout,
             backoff=backoff,
-            shared_memory=shared_memory,
             emit=emit,
             abort=abort,
         )
-    finally:
-        pool.close()

@@ -82,7 +82,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             processor_counts,
             progress=args.verbose,
             workers=args.workers,
-            shared_memory=args.shared_memory,
             backend=args.backend,
         )
     stats = compute_table1_stats(records)
@@ -108,7 +107,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         instances,
         tuple(args.processors),
         workers=args.workers,
-        shared_memory=args.shared_memory,
         backend=args.backend,
     )
     data = figure_data(records, args.which)
@@ -252,7 +250,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             instances,
             tuple(args.processors),
             workers=args.workers,
-            shared_memory=args.shared_memory,
             backend=args.backend,
         )
     text = build_report(records, instances)
@@ -328,6 +325,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             return 2
     supervise = bool(
         args.supervise
+        or args.workers > 1
         or args.timeout is not None
         or fault_plan is not None
         or args.retry_failed
@@ -337,7 +335,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.limit:
         instances = instances[: args.limit]
     per_tree = len(campaign.scenarios_for("-"))
-    dir_store = args.store in ("columnar", "parquet")
+    dir_store = args.store == "columnar"
     checkpoint = args.resume or (
         args.output
         if args.output and (args.output.endswith(".jsonl") or dir_store)
@@ -353,7 +351,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     # Flush-and-exit on SIGINT/SIGTERM: the checkpoint is already
     # flushed per record, so the handlers only need to unwind the run
-    # (terminating pool/supervised workers on the way) and say how to
+    # (terminating supervised workers on the way) and say how to
     # resume. Exit code is the conventional 128 + signum.
     def _on_signal(signum, frame):
         raise _Interrupted(signum)
@@ -370,11 +368,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             checkpoint=checkpoint,
             resume=bool(args.resume),
             store=args.store,
-            shared_memory=args.shared_memory,
-            shard_nodes=args.shard_nodes,
             progress=args.verbose,
             threads=args.threads,
-            megabatch=not args.no_megabatch,
             supervise=supervise,
             retries=args.retries,
             timeout=args.timeout,
@@ -535,13 +530,9 @@ def main(argv: list[str] | None = None) -> int:
             "--workers",
             type=int,
             default=1,
-            help="multiprocessing pool size for the experiment sweep",
-        )
-        sp.add_argument(
-            "--shared-memory",
-            action="store_true",
-            help="ship tree arrays to workers via multiprocessing.shared_memory "
-            "(zero-copy attach instead of per-tree pickling)",
+            help="worker processes for the experiment sweep; more than 1 runs "
+            "the supervised pool, one tree per work unit (byte-identical "
+            "records; a failing scenario becomes a failed record)",
         )
         sp.add_argument(
             "--backend",
@@ -599,18 +590,11 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument(
         "--store",
         default="auto",
-        choices=("auto", "jsonl", "columnar", "parquet"),
+        choices=("auto", "jsonl", "columnar"),
         help="checkpoint backend for --resume/--output: jsonl streams one "
         "line per record, columnar seals numpy .npz segments behind a "
         "manifest (same records, ~10x faster million-record analysis); "
         "auto infers from the path (default)",
-    )
-    sp.add_argument(
-        "--shard-nodes",
-        type=int,
-        default=None,
-        help="shard the scenario grid of trees with at least this many nodes "
-        "across the worker pool",
     )
     sp.add_argument(
         "--threads",
@@ -618,13 +602,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="worker threads of each megabatch kernel call (default: "
-        "REPRO_NUM_THREADS or the usable core count; never affects results)",
-    )
-    sp.add_argument(
-        "--no-megabatch",
-        action="store_true",
-        help="run scenarios one kernel call each instead of one batched "
-        "call per tree (byte-identical records, for comparison/debugging)",
+        "REPRO_NUM_THREADS or the usable core count, shared out among "
+        "--workers; never affects results)",
     )
     sp.add_argument("--limit", type=int, default=0, help="number of trees (0 = all)")
     sp.add_argument(
@@ -722,7 +701,7 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument(
         "--store",
         default="auto",
-        choices=("auto", "jsonl", "columnar", "parquet"),
+        choices=("auto", "jsonl", "columnar"),
         help="destination backend (auto: jsonl for .jsonl paths, else columnar)",
     )
     sp.set_defaults(func=_cmd_pack)
@@ -736,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
     sp.add_argument(
         "--store",
         default="auto",
-        choices=("auto", "jsonl", "columnar", "parquet"),
+        choices=("auto", "jsonl", "columnar"),
         help="destination backend (auto: jsonl for .jsonl paths, else columnar)",
     )
     sp.set_defaults(func=_cmd_merge)

@@ -15,6 +15,7 @@ from repro.analysis.campaign import (
     run_campaign,
 )
 from repro.analysis.experiments import (
+    FailedRecord,
     ScenarioRecord,
     load_records,
     run_experiments,
@@ -110,26 +111,32 @@ class TestRunCampaign:
             # strict mode never exceeds the cap
             assert r.memory <= factor * r.memory_lb + 1e-9
 
-    def test_workers_shared_memory_and_sharding_byte_identical(
-        self, instances, campaign, tmp_path
-    ):
+    def test_workers_byte_identical(self, instances, campaign, tmp_path):
         serial = run_campaign(instances, campaign)
         fanned = run_campaign(instances, campaign, workers=2)
-        shared = run_campaign(
-            instances, campaign, workers=2, shared_memory=True, shard_nodes=1
-        )
         assert fanned == serial
-        assert shared == serial
-        a, b = str(tmp_path / "serial.json"), str(tmp_path / "shared.json")
+        a, b = str(tmp_path / "serial.json"), str(tmp_path / "fanned.json")
         save_records(serial, a)
-        save_records(shared, b)
+        save_records(fanned, b)
         assert open(a, "rb").read() == open(b, "rb").read()
 
-    def test_sharding_serial_is_noop(self, instances, campaign):
-        # shard_nodes only engages with workers > 1
-        assert run_campaign(instances, campaign, shard_nodes=1) == run_campaign(
-            instances, campaign
+    def test_records_stream_up_to_a_failing_scenario(self, instances):
+        from repro.analysis.campaign import _scenario_records
+        from repro.core.engine import MemoryCapError
+        from repro.core.prepared import PreparedTree
+
+        camp = Campaign(
+            algorithms=("ParDeepestFirst", "MemoryBounded"),
+            processor_counts=(2,),
+            cap_factors=(0.5,),
         )
+        inst = instances[0]
+        records = _scenario_records(
+            inst.name, PreparedTree(inst.tree), camp.scenarios_for(inst.name), False
+        )
+        assert next(records).heuristic == "ParDeepestFirst"
+        with pytest.raises(MemoryCapError):
+            next(records)
 
     def test_checkpoint_requires_jsonl(self, instances, campaign, tmp_path):
         with pytest.raises(ValueError, match="jsonl"):
@@ -141,6 +148,123 @@ class TestRunCampaign:
         path = str(tmp_path / "campaign.jsonl")
         records = run_campaign(instances, campaign, checkpoint=path, workers=2)
         assert load_records(path) == records
+
+
+class TestPooledUnits:
+    """``workers > 1`` runs each tree's slice as one supervised work unit."""
+
+    def test_units_quarantine_poison_and_batch_per_tree(
+        self, instances, tmp_path, monkeypatch
+    ):
+        import repro.core.engine as engine
+        from repro import registry
+        from repro.core.engine import MemoryCapError
+        from repro.core.prepared import PreparedTree
+        from repro.testing.faults import Fault, FaultPlan
+
+        grid = dict(
+            algorithms=("ParDeepestFirst", "ParSubtrees", "MemoryBounded"),
+            processor_counts=(2, 4),
+        )
+        # cap 0.5 x the sequential optimum is infeasible on every tree
+        camp = Campaign(cap_factors=(0.5, 2.0), **grid)
+        feasible = run_campaign(instances, Campaign(cap_factors=(2.0,), **grid))
+        by_key = {(r.tree, r.heuristic, r.p): r for r in feasible}
+        expected = []
+        for inst in instances:
+            for sc in camp.scenarios_for(inst.name):
+                if sc.key() in by_key:
+                    expected.append(by_key[sc.key()])
+                    continue
+                with pytest.raises(MemoryCapError) as err:
+                    registry.run(
+                        sc.algorithm, PreparedTree(inst.tree), sc.p, **dict(sc.params)
+                    )
+                expected.append(
+                    FailedRecord(
+                        sc.tree, inst.tree.n, sc.p, sc.label,
+                        f"MemoryCapError: {err.value}", attempts=1,
+                    )
+                )
+        # scenario 1 (ParSubtrees, p=2) crashes its worker mid-unit
+        plan = FaultPlan((Fault(kind="crash", index=1, attempts=(0,)),))
+        got = run_campaign(instances, camp, workers=2, backoff=0.02, fault_plan=plan)
+        assert got == expected
+        labels = [sc.label for inst in instances for sc in camp.scenarios_for(inst.name)]
+        poisons = [k for k, r in enumerate(got) if isinstance(r, FailedRecord)]
+        assert poisons == [k for k, label in enumerate(labels) if label.endswith("@cap0.5")]
+        assert all(got[k].attempts == 1 for k in poisons)
+
+        # fault-free: each tree's engine scenarios reach its worker as
+        # one sweep_batch call
+        log = tmp_path / "calls.txt"
+        original = engine.sweep_batch
+
+        def spy(prepared, scenarios, *args, **kwargs):
+            with open(log, "a") as fh:  # workers inherit the patch by fork
+                fh.write(f"{prepared.n} {len(scenarios)}\n")
+            return original(prepared, scenarios, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "sweep_batch", spy)
+        camp = Campaign(cap_factors=(1.5, 2.0), **grid)
+        got = run_campaign(instances, camp, workers=2, supervise=True)
+        monkeypatch.undo()
+        assert got == run_campaign(instances, camp)
+        calls = sorted(tuple(map(int, line.split())) for line in open(log))
+        # per p: ParDeepestFirst + MemoryBounded at two caps; ParSubtrees
+        # has no sweep spec
+        assert calls == sorted((inst.tree.n, 2 * 3) for inst in instances)
+
+
+    def test_timed_out_unit_is_not_charged(self, instances, campaign):
+        from repro.testing.faults import Fault, FaultPlan
+
+        # scenario 1 wedges on its first attempt: once inside its tree's
+        # unit (uncharged), once as a single-scenario unit (charged)
+        plan = FaultPlan((Fault(kind="slow", index=1, attempts=(0,), seconds=5.0),))
+        reports: list = []
+        got = run_campaign(
+            instances, campaign, workers=1, supervise=True, timeout=1.0,
+            backoff=0.02, fault_plan=plan, report=reports,
+        )
+        assert got == run_campaign(instances, campaign)
+        (rep,) = reports
+        trails = [[(a.attempt, a.status) for a in s.attempts] for s in rep.scenarios]
+        assert trails[1] == [(0, "timeout"), (1, "ok")]
+        assert rep.respawns == 2  # the unit's kill did not use up attempt 0
+        assert all(t == [(0, "ok")] for k, t in enumerate(trails) if k != 1)
+
+    def test_pooled_thread_count_is_shared_out(self, instances, tmp_path, monkeypatch):
+        import repro.core.engine as engine
+
+        log = tmp_path / "threads.txt"
+        original = engine.sweep_batch
+
+        def spy(prepared, scenarios, backend=None, threads=None):
+            with open(log, "a") as fh:
+                fh.write(f"{threads}\n")
+            return original(prepared, scenarios, backend=backend, threads=threads)
+
+        monkeypatch.setattr(engine, "sweep_batch", spy)
+        camp = Campaign(algorithms=("ParDeepestFirst",), processor_counts=(2, 4))
+        run_campaign(instances, camp, workers=2)
+        run_campaign(instances, camp, workers=2, threads=3)
+        per_worker = max(1, engine.default_threads() // 2)
+        assert open(log).read().split() == [str(per_worker)] * 3 + ["3"] * 3
+
+    def test_interleaved_task_stream_keeps_order(self, instances, campaign):
+        from repro.analysis.supervisor import run_supervised
+
+        # run_supervised takes any (group, scenario) stream; only runs
+        # of the same group form one unit
+        a, b = (campaign.scenarios_for(inst.name) for inst in instances[:2])
+        tasks = [(0, a[0]), (1, b[0]), (1, b[1]), (0, a[1])]
+        emitted: list = []
+        run_supervised(
+            instances, tasks, workers=2, emit=lambda gi, r: emitted.append((gi, r))
+        )
+        ref = {(r.tree, r.heuristic, r.p): r for r in run_campaign(instances, campaign)}
+        assert emitted == [(gi, ref[sc.key()]) for gi, sc in tasks]
 
 
 class TestResume:
@@ -226,7 +350,6 @@ class TestResume:
             checkpoint=part,
             resume=True,
             workers=2,
-            shared_memory=True,
         )
         assert resumed == records
         assert open(part, "rb").read() == blob

@@ -175,22 +175,6 @@ class TestSupervisedEquivalence:
         assert got == records
         assert filecmp.cmp(str(ref_path), str(path), shallow=False)
 
-    def test_fault_free_shared_memory_supervised(
-        self, instances, campaign, reference, tmp_path
-    ):
-        records, ref_path = reference
-        path = tmp_path / "shm.jsonl"
-        got = run_campaign(
-            instances,
-            campaign,
-            checkpoint=str(path),
-            supervise=True,
-            workers=2,
-            shared_memory=True,
-        )
-        assert got == records
-        assert filecmp.cmp(str(ref_path), str(path), shallow=False)
-
     def test_report_records_backends_and_clean_run(self, instances, campaign):
         reports: list[RunReport] = []
         run_campaign(instances, campaign, supervise=True, workers=2, report=reports)
@@ -511,7 +495,6 @@ class TestKillResume:
     MODES = {
         "megabatch-serial": {"workers": 1},
         "pooled": {"workers": 2},
-        "shared-memory": {"workers": 2, "shared_memory": True},
     }
 
     @pytest.fixture(scope="class")

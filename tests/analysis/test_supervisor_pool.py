@@ -116,16 +116,6 @@ class TestPersistentPool:
                 pool.run(instances, tasks, emit=collect(got))
                 assert got == ref
 
-    def test_shared_memory_transport_per_run(self, instances, tasks):
-        ref: list = []
-        run_supervised(instances, tasks, emit=collect(ref))
-        with SupervisorPool(workers=2) as pool:
-            a: list = []
-            pool.run(instances, tasks, shared_memory=True, emit=collect(a))
-            b: list = []
-            pool.run(instances, tasks, shared_memory=True, emit=collect(b))
-        assert a == ref and b == ref
-
     def test_closed_pool_rejects_runs(self, instances, tasks):
         pool = SupervisorPool(workers=1)
         pool.close()

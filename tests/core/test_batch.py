@@ -339,36 +339,58 @@ class TestCampaignMegabatch:
         )
         return instances, campaign
 
+    @staticmethod
+    def per_scenario(instances, campaign):
+        """The reference stream: one registry.run + simulate per scenario."""
+        from repro.analysis.experiments import ScenarioRecord
+        from repro.core.simulator import simulate
+
+        records = []
+        for inst in instances:
+            prepared = PreparedTree(inst.tree)
+            for sc in campaign.scenarios_for(inst.name):
+                result = simulate(
+                    registry.run(sc.algorithm, prepared, sc.p, **dict(sc.params))
+                )
+                records.append(
+                    ScenarioRecord(
+                        tree=inst.name,
+                        n=prepared.n,
+                        p=sc.p,
+                        heuristic=sc.label,
+                        makespan=result.makespan,
+                        memory=result.peak_memory,
+                        memory_lb=prepared.optimal().peak_memory,
+                        makespan_lb=prepared.makespan_lower_bound(sc.p),
+                    )
+                )
+        return records
+
     def test_megabatch_records_byte_identical(self, setup):
         from repro.analysis.campaign import run_campaign
 
         instances, campaign = setup
-        batched = run_campaign(instances, campaign, megabatch=True, threads=2)
-        unbatched = run_campaign(instances, campaign, megabatch=False)
-        assert batched == unbatched
+        batched = run_campaign(instances, campaign, threads=2)
+        assert batched == self.per_scenario(instances, campaign)
 
     def test_megabatch_with_worker_pool(self, setup):
         from repro.analysis.campaign import run_campaign
 
         instances, campaign = setup
-        serial = run_campaign(instances, campaign, megabatch=True)
-        pooled = run_campaign(
-            instances, campaign, workers=2, megabatch=True, threads=2
-        )
-        shm = run_campaign(
-            instances, campaign, workers=2, shared_memory=True, megabatch=True
-        )
+        serial = run_campaign(instances, campaign)
+        pooled = run_campaign(instances, campaign, workers=2, threads=2)
         assert pooled == serial
-        assert shm == serial
 
     def test_megabatch_checkpoint_bytes_identical(self, setup, tmp_path):
         from repro.analysis.campaign import run_campaign
+        from repro.analysis.experiments import save_records
 
         instances, campaign = setup
         on = str(tmp_path / "on.jsonl")
         off = str(tmp_path / "off.jsonl")
-        r1 = run_campaign(instances, campaign, checkpoint=on, megabatch=True)
-        r2 = run_campaign(instances, campaign, checkpoint=off, megabatch=False)
+        r1 = run_campaign(instances, campaign, checkpoint=on)
+        r2 = self.per_scenario(instances, campaign)
+        save_records(r2, off, append=True)
         assert r1 == r2
         assert open(on, "rb").read() == open(off, "rb").read()
 
@@ -377,15 +399,13 @@ class TestCampaignMegabatch:
 
         instances, campaign = setup
         full = str(tmp_path / "full.jsonl")
-        records = run_campaign(instances, campaign, checkpoint=full, megabatch=True)
+        records = run_campaign(instances, campaign, checkpoint=full)
         blob = open(full, "rb").read()
         part = str(tmp_path / "part.jsonl")
         lines = blob.splitlines()
         with open(part, "wb") as fh:
             fh.write(b"\n".join(lines[:5]) + b"\n")
-        resumed = run_campaign(
-            instances, campaign, checkpoint=part, resume=True, megabatch=True
-        )
+        resumed = run_campaign(instances, campaign, checkpoint=part, resume=True)
         assert resumed == records
         assert open(part, "rb").read() == blob
 

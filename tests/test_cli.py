@@ -111,6 +111,18 @@ class TestCli:
         capsys.readouterr()
         assert open(ckpt, "rb").read() == blob
 
+    def test_campaign_workers_run_supervised_byte_identical(self, tmp_path, capsys):
+        argv = [
+            "campaign", "--scale", "tiny", "--algos", "ParDeepestFirst,ParSubtrees",
+            "--procs", "2,4", "--limit", "2", "--resume",
+        ]
+        serial, pooled = str(tmp_path / "serial.jsonl"), str(tmp_path / "pooled.jsonl")
+        assert main(argv + [serial]) == 0
+        assert "[supervised]" not in capsys.readouterr().err
+        assert main(argv + [pooled, "--workers", "2"]) == 0
+        assert "[supervised]" in capsys.readouterr().err
+        assert open(serial, "rb").read() == open(pooled, "rb").read()
+
     def test_campaign_resume_with_separate_output(self, tmp_path, capsys):
         ckpt = str(tmp_path / "ckpt.jsonl")
         out = str(tmp_path / "results.jsonl")
