@@ -26,7 +26,16 @@ Three modes, timing schedulers on random trees:
   dropping per-scenario Python/ctypes dispatch and sweeping the grid
   GIL-free in one call.
 
-``--smoke`` runs all modes at a small size (CI guard against bit-rot);
+* **``--subtrees``** -- the subtree-splitting family (ParSubtrees,
+  ParSubtreesOptim, MemoryAwareSubtrees) x ``PROCESSOR_COUNTS`` over
+  ``build_dataset("small")``, every scenario on the bare tree vs. one
+  :class:`~repro.core.prepared.PreparedTree` per tree (its construction
+  timed). Schedules must match bit for bit (asserted). Runs against any
+  ``PYTHONPATH`` that has ``registry.run``, so the same script times an
+  older checkout for comparison.
+
+``--smoke`` runs all modes at a small size (CI guard against bit-rot;
+with ``--subtrees`` also the subtree family over the tiny data set);
 ``--append`` appends the payload to an existing trajectory file instead
 of overwriting it (the file then holds a JSON array of entries).
 
@@ -38,6 +47,7 @@ perf trajectory::
         --sizes 100000 1000000 --append
     PYTHONPATH=src python benchmarks/bench_engine.py --grid \
         --sizes 100000 --append
+    PYTHONPATH=src python benchmarks/bench_engine.py --subtrees --append
 """
 
 from __future__ import annotations
@@ -64,6 +74,7 @@ from repro.core.tree import NO_PARENT
 from repro.parallel.list_scheduling import postorder_ranks
 from repro.parallel.par_deepest_first import par_deepest_first, par_deepest_first_rank
 from repro.sequential.postorder import optimal_postorder
+from repro.workloads.dataset import PROCESSOR_COUNTS, build_dataset
 from repro.workloads.synthetic import random_weighted_tree
 
 
@@ -344,6 +355,55 @@ def run_megabatch_bench(
 
 
 # ----------------------------------------------------------------------
+# subtree family over the assembly-tree data set: bare vs. prepared
+# ----------------------------------------------------------------------
+SUBTREE_FAMILY = ("ParSubtrees", "ParSubtreesOptim", "MemoryAwareSubtrees")
+
+
+def run_subtrees_bench(scale: str, repeats: int, seed: int) -> list[dict]:
+    """Time the subtree family x ``PROCESSOR_COUNTS`` over a data set.
+
+    The bare path calls ``registry.run(name, tree, p)`` per scenario, so
+    every call derives its own state; the prepared path builds one
+    :class:`PreparedTree` per tree (timed) and runs the tree's whole
+    family x p grid against it. Schedules must match bit for bit.
+    """
+    trees = [inst.tree for inst in build_dataset(scale, seed=seed)]
+
+    def run_family(prepare: bool) -> list[Schedule]:
+        out = []
+        for tree in trees:
+            target = PreparedTree(tree) if prepare else tree
+            out.extend(
+                registry.run(name, target, p)
+                for p in PROCESSOR_COUNTS
+                for name in SUBTREE_FAMILY
+            )
+        return out
+
+    t_bare, ref = best_of(lambda: run_family(False), repeats)
+    t_prep, got = best_of(lambda: run_family(True), repeats)
+    for a, b in zip(ref, got):
+        assert np.array_equal(a.start, b.start), "prepared path diverged"
+        assert np.array_equal(a.proc, b.proc), "prepared path diverged"
+    row = {
+        "scale": scale,
+        "trees": len(trees),
+        "nodes": int(sum(t.n for t in trees)),
+        "scenarios": len(ref),
+        "bare_s": round(t_bare, 6),
+        "prepared_s": round(t_prep, 6),
+        "speedup": round(t_bare / t_prep, 3),
+    }
+    print(
+        f"{scale}: {row['trees']} trees x {len(SUBTREE_FAMILY)} algorithms x "
+        f"{len(PROCESSOR_COUNTS)} p  bare {t_bare:8.4f}s  prepared {t_prep:8.4f}s  "
+        f"speedup {row['speedup']:5.2f}x"
+    )
+    return [row]
+
+
+# ----------------------------------------------------------------------
 def best_of(fn, repeats: int) -> tuple[float, Schedule]:
     best = float("inf")
     result = None
@@ -432,6 +492,12 @@ def main(argv=None) -> int:
         "sweep_batch kernel call",
     )
     parser.add_argument(
+        "--subtrees",
+        action="store_true",
+        help="time the subtree-splitting family x PROCESSOR_COUNTS over "
+        "the small data set, bare trees vs. one PreparedTree per tree",
+    )
+    parser.add_argument(
         "--threads",
         type=int,
         default=None,
@@ -453,16 +519,21 @@ def main(argv=None) -> int:
         args.sizes = [2000]
         args.repeats = 1
     grid_mode = (args.grid or args.megabatch) and not args.compare_backends
+    algorithm = "grid" if grid_mode else "ParDeepestFirst"
+    if args.subtrees and not (grid_mode or args.smoke or args.compare_backends):
+        algorithm = "subtree family"
     payload = {
         "benchmark": "engine",
-        "algorithm": "grid" if grid_mode else "ParDeepestFirst",
+        "algorithm": algorithm,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": args.repeats,
         "seed": args.seed,
         "smoke": bool(args.smoke),
     }
-    if args.smoke or not (args.compare_backends or args.grid or args.megabatch):
+    if args.smoke or not (
+        args.compare_backends or args.grid or args.megabatch or args.subtrees
+    ):
         payload["results"] = run_bench(
             args.sizes, args.processors, args.repeats, args.seed
         )
@@ -475,6 +546,10 @@ def main(argv=None) -> int:
     if args.smoke or args.megabatch:
         payload["megabatch"] = run_megabatch_bench(
             args.sizes, args.repeats, args.seed, args.threads
+        )
+    if args.subtrees:
+        payload["subtrees"] = run_subtrees_bench(
+            "tiny" if args.smoke else "small", args.repeats, args.seed
         )
     write_payload(args.output, payload, args.append)
     print(f"wrote {args.output}")

@@ -9,7 +9,10 @@ those runs derives the identical state from the :class:`TaskTree`:
   ``completion_frees`` released at completion),
 * the memory-optimal sequential postorder (ParInnerFirst's leaf order,
   ParDeepestFirst's tie-break, the capped modes' activation order, and
-  the memory lower bound of every record),
+  the memory lower bound of every record) and its per-subtree peaks,
+* the subtree-splitting family's state: one whole-tree postorder of
+  which every subtree's memory-optimal order is a contiguous slice,
+  and the Algorithm 2 splitting per ``p``,
 * the per-algorithm priority rank permutations (one ``lex_rank`` sweep
   each -- identical for every ``p`` and every cap), and
 * the pure-Python backend's list conversions of the per-node arrays.
@@ -23,13 +26,13 @@ tree, so prepared-path schedules are **bit-identical** to the
 unprepared path -- pinned by the golden tests in
 ``tests/core/test_prepared.py`` / ``tests/core/test_backends.py``.
 
-Every engine entry point (:class:`~repro.core.engine.SchedulerEngine`,
+Every parallel entry point (:class:`~repro.core.engine.SchedulerEngine`,
 ``list_schedule``, the list heuristics, ``memory_bounded_schedule``,
-``registry.Algorithm.run``) accepts either a :class:`TaskTree` or a
-:class:`PreparedTree`; :func:`as_prepared` / :func:`tree_of` are the
-two conversion helpers they share. Algorithms that do not understand
-the prepared wrapper (the subtree-splitting family, the sequential
-traversals) transparently receive the underlying tree.
+the subtree-splitting family, ``registry.Algorithm.run``) accepts
+either a :class:`TaskTree` or a :class:`PreparedTree`;
+:func:`as_prepared` / :func:`tree_of` are the two conversion helpers
+they share. The sequential traversals do not understand the prepared
+wrapper and transparently receive the underlying tree.
 
 A :class:`PreparedTree` is cheap to construct (everything is lazy); it
 only pays off when reused, which is what the campaign runner
@@ -111,7 +114,9 @@ class PreparedTree:
     each thread its own slot (one mutation scratch per thread slot, not
     per tree). The batched kernels (:func:`repro.core.engine.sweep_batch`)
     never touch the scratch at all -- they copy ``pending0`` into
-    per-worker arenas inside the kernel.
+    per-worker arenas inside the kernel. Every lazy cache holds a pure
+    function of the tree, so threads racing on a cold cache compute
+    equal values and either one may win.
     """
 
     __slots__ = (
@@ -122,9 +127,13 @@ class PreparedTree:
         "_scratch_free",
         "_scratch_next",
         "_alloc",
+        "_peaks",
         "_optimal",
+        "_subtree_postorder",
+        "_splits",
         "_sigma_rank",
         "_wdepths",
+        "_work_cp",
         "_exactness",
         "_ranks",
         "_byranks",
@@ -142,9 +151,13 @@ class PreparedTree:
         self._scratch_free: list[int] = []
         self._scratch_next = 0
         self._alloc = None
+        self._peaks = None
         self._optimal = None
+        self._subtree_postorder = None
+        self._splits: dict[int, object] = {}
         self._sigma_rank = None
         self._wdepths = None
+        self._work_cp = None
         self._exactness = None
         self._ranks: dict[Hashable, np.ndarray] = {}
         self._byranks: dict[int, np.ndarray] = {}
@@ -280,10 +293,19 @@ class PreparedTree:
         every experiment record.
         """
         if self._optimal is None:
-            from repro.sequential.postorder import optimal_postorder
+            from repro.sequential.postorder import optimal_postorder_from_peaks
 
-            self._optimal = optimal_postorder(self.tree)
+            self._optimal = optimal_postorder_from_peaks(self.tree, self.postorder_peaks())
         return self._optimal
+
+    def postorder_peaks(self) -> np.ndarray:
+        """Optimal postorder peak of every subtree (read-only), shared
+        by :meth:`optimal` and :meth:`subtree_postorder`."""
+        if self._peaks is None:
+            from repro.sequential.postorder import postorder_peaks
+
+            self._peaks = _frozen(postorder_peaks(self.tree))
+        return self._peaks
 
     @property
     def optimal_computed(self):
@@ -326,7 +348,44 @@ class PreparedTree:
         computation)."""
         if p < 1:
             raise ValueError("p must be positive")
-        return max(float(self.tree.w.sum()) / p, float(self.weighted_depths().max()))
+        if self._work_cp is None:
+            self._work_cp = (float(self.tree.w.sum()), float(self.weighted_depths().max()))
+        work, cp = self._work_cp
+        return max(work / p, cp)
+
+    # ------------------------------------------------------------------
+    # subtree-splitting family
+    # ------------------------------------------------------------------
+    def subtree_postorder(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sub_peaks, order, pos)`` of
+        :func:`repro.sequential.postorder.subtree_postorder`, computed
+        once (read-only): ``sub_peaks[r]`` is the optimal postorder peak
+        of ``tree.subtree(r)`` and :meth:`subtree_order` its order."""
+        if self._subtree_postorder is None:
+            from repro.sequential.postorder import subtree_postorder
+
+            peaks, order, pos = subtree_postorder(self.tree, self.postorder_peaks())
+            self._subtree_postorder = (_frozen(peaks), _frozen(order), _frozen(pos))
+        return self._subtree_postorder
+
+    def subtree_order(self, r: int) -> np.ndarray:
+        """Nodes of the subtree rooted at ``r`` in its memory-optimal
+        postorder -- ``nodes[optimal_postorder(sub).order]`` for
+        ``sub, nodes = tree.subtree(r)``, as a read-only slice."""
+        _, order, pos = self.subtree_postorder()
+        end = int(pos[r]) + 1
+        return order[end - int(self.tree.subtree_sizes(copy=False)[r]) : end]
+
+    def split_for(self, p: int, split_fn: Callable[[TaskTree, int], object]):
+        """The Algorithm 2 splitting for ``p`` processors:
+        ``split_fn(tree, p)`` runs once per ``p`` and every later
+        request returns the same result. ``split_fn`` is
+        :func:`repro.parallel.split_subtrees.split_subtrees` as the
+        calling module binds it."""
+        split = self._splits.get(p)
+        if split is None:
+            split = self._splits.setdefault(p, split_fn(self.tree, p))
+        return split
 
     # ------------------------------------------------------------------
     # per-algorithm priority-rank cache

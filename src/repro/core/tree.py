@@ -166,6 +166,9 @@ class TaskTree:
     _completion_frees: np.ndarray = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
+    _subtree_work: np.ndarray = field(
+        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -465,14 +468,40 @@ class TaskTree:
         return np.asarray(out, dtype=np.float64)
 
     def subtree_work(self) -> np.ndarray:
-        """Total processing time of each subtree (``W_i`` in Section 5.1)."""
-        parent = self.parent.tolist()
-        work = self.w.tolist()
-        for node in self._postorder.tolist():
-            p = parent[node]
-            if p != NO_PARENT:
-                work[p] += work[node]
-        return np.asarray(work, dtype=np.float64)
+        """Total processing time of each subtree (``W_i`` in Section 5.1).
+
+        Every parent accumulates its children's totals into its own
+        ``w`` in ascending child order, ``((w_i + W_{c_1}) + W_{c_2})
+        \\dots`` -- the float association of the historical postorder
+        loop. Shallow trees do it level-synchronously (``np.add.at``
+        applies a level's additions in index order, deepest level
+        first); deep, chain-like trees keep the loop. Computed once and
+        cached read-only; every call returns a copy.
+        """
+        if self._subtree_work is None:
+            n = self.n
+            depth = self._depths
+            height = int(depth.max())
+            if use_level_sweeps(height, n):
+                work = self.w.copy()
+                by_depth = np.argsort(depth, kind="stable")
+                level_counts = np.bincount(depth, minlength=height + 1)
+                pos = n
+                for c in level_counts[:0:-1]:  # deepest level ... level 1
+                    nodes = by_depth[pos - c : pos]
+                    pos -= c
+                    np.add.at(work, self.parent[nodes], work[nodes])
+            else:
+                parent = self.parent.tolist()
+                acc = self.w.tolist()
+                for node in self._postorder.tolist():
+                    p = parent[node]
+                    if p != NO_PARENT:
+                        acc[p] += acc[node]
+                work = np.asarray(acc, dtype=np.float64)
+            work.setflags(write=False)
+            object.__setattr__(self, "_subtree_work", work)
+        return self._subtree_work.copy()
 
     def _subtree_sizes_cached(self) -> np.ndarray:
         """Read-only cached subtree sizes (computed lazily for deep trees)."""

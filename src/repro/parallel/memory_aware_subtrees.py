@@ -18,57 +18,39 @@ any ``cap >= M_seq`` is feasible; below that it raises
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.schedule import Schedule
 from repro.core.simulator import peak_memory
 from repro.core.tree import TaskTree
 from .memory_bounded import MemoryCapError
-from .par_subtrees import (
-    SequentialOrder,
-    _default_order,
-    _pack_schedule,
-    _restricted_order,
-)
+from .par_subtrees import SequentialOrder, _assemble, _default_order
 from .split_subtrees import split_subtrees
 
 __all__ = ["par_subtrees_memory_aware", "predicted_parallel_memory"]
 
 
-def predicted_parallel_memory(tree: TaskTree, roots: list[int], q: int) -> float:
+def predicted_parallel_memory(
+    tree: TaskTree | PreparedTree, roots: Sequence[int], q: int
+) -> float:
     """Optimistic phase-1 peak predictor for ``q``-way concurrency.
 
     The ``q`` concurrently active subtrees need at least the sum of the
     ``q`` *smallest* sequential subtree peaks; any concurrency level
     whose prediction already exceeds the cap cannot fit and is pruned
-    without building the schedule.
+    without building the schedule. The peaks are a gather from the
+    prepared tree's per-subtree optimal postorder peaks.
     """
-    from repro.sequential.postorder import optimal_postorder
-
-    peaks = []
-    for r in roots:
-        sub, _ = tree.subtree(r)
-        peaks.append(optimal_postorder(sub).peak_memory)
-    peaks.sort()
+    sub_peaks = as_prepared(tree).subtree_postorder()[0]
+    peaks = sorted(sub_peaks[np.asarray(roots, dtype=np.int64)].tolist())
     return float(sum(peaks[:q]))
 
 
-def _build(tree, p, q, roots, work, sequential_order):
-    chosen = sorted(roots, key=lambda r: float(work[r]), reverse=True)[:q]
-    keep = np.zeros(tree.n, dtype=bool)
-    per_proc: list[list[np.ndarray]] = [[] for _ in range(p)]
-    for k, r in enumerate(chosen):
-        sub, nodes = tree.subtree(r)
-        sub_order = sequential_order(sub)
-        per_proc[k].append(nodes[sub_order])
-        keep[nodes] = True
-    full_order = sequential_order(tree)
-    seq_order = _restricted_order(full_order, ~keep)
-    return _pack_schedule(tree, p, per_proc, seq_order)
-
-
 def par_subtrees_memory_aware(
-    tree: TaskTree,
+    tree: TaskTree | PreparedTree,
     p: int,
     cap: float,
     sequential_order: SequentialOrder = _default_order,
@@ -83,17 +65,19 @@ def par_subtrees_memory_aware(
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
-    split = split_subtrees(tree, p)
+    prepared = as_prepared(tree)
+    split = prepared.split_for(p, split_subtrees)
     roots = list(split.frontier_roots)
-    work = tree.subtree_work()
+    work = prepared.tree.subtree_work().tolist()
+    heaviest = sorted(roots, key=lambda r: work[r], reverse=True)
     for q in range(min(p, len(roots)), 1, -1):
-        if predicted_parallel_memory(tree, roots, q) > cap:
+        if predicted_parallel_memory(prepared, roots, q) > cap:
             continue
-        schedule = _build(tree, p, q, roots, work, sequential_order)
+        schedule = _assemble(prepared, p, [[r] for r in heaviest[:q]], sequential_order)
         if peak_memory(schedule) <= cap + 1e-9:
             return schedule
-    order = sequential_order(tree)
-    schedule = Schedule.sequential(tree, order, p)
+    # q = 1: the fully sequential traversal
+    schedule = _assemble(prepared, p, [], sequential_order)
     peak = peak_memory(schedule)
     if peak > cap + 1e-9:
         raise MemoryCapError(

@@ -17,14 +17,27 @@ Guarantees proved in the paper and property-tested here:
 processors in LPT fashion (heaviest first onto the least-loaded
 processor), which improves the makespan at the price of a (slightly)
 higher memory usage -- exactly the trade-off reported in Table 1.
+
+The family (with :mod:`repro.parallel.memory_aware_subtrees`) reads its
+per-tree state from a :class:`~repro.core.prepared.PreparedTree`, so a
+grid of ``p`` values and algorithms pays each derivation once per tree:
+the splitting per ``p`` (:meth:`~repro.core.prepared.PreparedTree.split_for`),
+and one whole-tree optimal postorder of which each subtree's
+memory-optimal order is a contiguous slice
+(:meth:`~repro.core.prepared.PreparedTree.subtree_order`) -- no subtree
+is copied or re-traversed. A bare :class:`TaskTree` is wrapped with
+:func:`~repro.core.prepared.as_prepared`. Every schedule is assembled
+by one packer, :func:`_assemble`; a caller-supplied
+``sequential_order`` feeds it the orders of subtree copies instead.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.prepared import PreparedTree, as_prepared
 from repro.core.schedule import Schedule
 from repro.core.tree import TaskTree
 from .split_subtrees import SplitResult, split_subtrees
@@ -42,49 +55,57 @@ def _default_order(tree: TaskTree) -> np.ndarray:
     return optimal_postorder(tree).order
 
 
-def _restricted_order(full_order: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Subsequence of ``full_order`` restricted to the ``keep`` mask.
-
-    A restriction of a topological order is a topological order of the
-    induced sub-forest, and restricting the memory-optimal order keeps
-    its locality, which is why both phases use it.
-    """
-    return np.asarray([i for i in full_order if keep[i]], dtype=np.int64)
-
-
-def _pack_schedule(
-    tree: TaskTree,
+def _assemble(
+    prepared: PreparedTree,
     p: int,
-    per_proc_orders: list[list[np.ndarray]],
-    seq_nodes_order: np.ndarray,
+    roots_per_proc: Sequence[Sequence[int]],
+    sequential_order: SequentialOrder,
 ) -> Schedule:
     """Assemble the two-phase schedule.
 
-    Phase 1: processor ``q`` executes its subtree orders back-to-back.
-    Phase 2: the remaining nodes run on processor 0 starting when every
-    subtree has completed (the cost model of Algorithm 2).
+    Phase 1: processor ``q`` executes the subtrees rooted at
+    ``roots_per_proc[q]`` back-to-back, each in its ``sequential_order``.
+    Phase 2: the remaining nodes run on processor 0, in the whole-tree
+    ``sequential_order`` restricted to them (a restriction of a
+    topological order is one of the induced sub-forest, and keeps its
+    locality), starting when every subtree has completed (the cost
+    model of Algorithm 2). Start times are per-processor ``cumsum``
+    runs over the durations -- the same left-to-right additions as a
+    running ``t += w``.
     """
+    tree = prepared.tree
+    if sequential_order is _default_order:
+        subtree_order = prepared.subtree_order
+        full = prepared.optimal().order
+    else:
+
+        def subtree_order(r: int) -> np.ndarray:
+            sub, nodes = tree.subtree(r)
+            return nodes[sequential_order(sub)]
+
+        full = np.asarray(sequential_order(tree), dtype=np.int64)
+    w = tree.w
     start = np.empty(tree.n, dtype=np.float64)
     proc = np.empty(tree.n, dtype=np.int64)
+    keep = np.zeros(tree.n, dtype=bool)
     phase1_end = 0.0
-    for q, orders in enumerate(per_proc_orders):
-        t = 0.0
-        for order in orders:
-            for node in order:
-                start[node] = t
-                proc[node] = q
-                t += float(tree.w[node])
-        phase1_end = max(phase1_end, t)
-    t = phase1_end
-    for node in seq_nodes_order:
-        start[node] = t
-        proc[node] = 0
-        t += float(tree.w[node])
+    for q, roots in enumerate(roots_per_proc):
+        if not roots:
+            continue
+        nodes = np.concatenate([subtree_order(r) for r in roots])
+        t = np.cumsum(np.concatenate(([0.0], w[nodes])))
+        start[nodes] = t[:-1]
+        proc[nodes] = q
+        keep[nodes] = True
+        phase1_end = max(phase1_end, float(t[-1]))
+    rest = full[~keep[full]]
+    start[rest] = np.cumsum(np.concatenate(([phase1_end], w[rest])))[:-1]
+    proc[rest] = 0
     return Schedule(tree, start, proc, p)
 
 
 def par_subtrees(
-    tree: TaskTree,
+    tree: TaskTree | PreparedTree,
     p: int,
     sequential_order: SequentialOrder = _default_order,
     split: SplitResult | None = None,
@@ -94,32 +115,25 @@ def par_subtrees(
     Parameters
     ----------
     tree, p:
-        the instance.
+        the instance (bare or prepared).
     sequential_order:
         the memory-minimizing sequential algorithm used for each subtree
         and for the remainder (default: optimal postorder, as in the
         paper's experiments; pass Liu's exact algorithm for the O(n^2)
         variant).
     split:
-        an optional precomputed splitting (shared with
-        :func:`par_subtrees_optim` in the benchmark harness).
+        an optional precomputed splitting (default: the prepared
+        tree's cached one for ``p``).
     """
+    prepared = as_prepared(tree)
     if split is None:
-        split = split_subtrees(tree, p)
-    full_order = sequential_order(tree)
-    keep = np.zeros(tree.n, dtype=bool)
-    per_proc: list[list[np.ndarray]] = [[] for _ in range(p)]
-    for q, r in enumerate(split.parallel_roots):
-        sub, nodes = tree.subtree(r)
-        sub_order = sequential_order(sub)
-        per_proc[q].append(nodes[sub_order])
-        keep[nodes] = True
-    seq_order = _restricted_order(full_order, ~keep)
-    return _pack_schedule(tree, p, per_proc, seq_order)
+        split = prepared.split_for(p, split_subtrees)
+    roots_per_proc = [[r] for r in split.parallel_roots]
+    return _assemble(prepared, p, roots_per_proc, sequential_order)
 
 
 def par_subtrees_optim(
-    tree: TaskTree,
+    tree: TaskTree | PreparedTree,
     p: int,
     sequential_order: SequentialOrder = _default_order,
     split: SplitResult | None = None,
@@ -127,24 +141,20 @@ def par_subtrees_optim(
     """ParSubtreesOptim: allocate *all* subtrees to processors (LPT).
 
     Subtrees are sorted by non-increasing work and greedily assigned to
-    the processor with the smallest total load; each processor runs its
-    subtrees back-to-back (each internally in memory-optimal order). The
-    split nodes are processed sequentially afterwards.
+    the processor with the smallest total load (the lowest index among
+    equal loads); each processor runs its subtrees back-to-back (each
+    internally in memory-optimal order). The split nodes are processed
+    sequentially afterwards.
     """
+    prepared = as_prepared(tree)
     if split is None:
-        split = split_subtrees(tree, p)
-    full_order = sequential_order(tree)
-    work = tree.subtree_work()
-    roots = sorted(split.frontier_roots, key=lambda r: float(work[r]), reverse=True)
-    loads = np.zeros(p, dtype=np.float64)
-    keep = np.zeros(tree.n, dtype=bool)
-    per_proc: list[list[np.ndarray]] = [[] for _ in range(p)]
+        split = prepared.split_for(p, split_subtrees)
+    work = prepared.tree.subtree_work().tolist()
+    roots = sorted(split.frontier_roots, key=lambda r: work[r], reverse=True)
+    loads = [0.0] * p
+    roots_per_proc: list[list[int]] = [[] for _ in range(p)]
     for r in roots:
-        q = int(np.argmin(loads))
-        sub, nodes = tree.subtree(r)
-        sub_order = sequential_order(sub)
-        per_proc[q].append(nodes[sub_order])
-        loads[q] += float(work[r])
-        keep[nodes] = True
-    seq_order = _restricted_order(full_order, ~keep)
-    return _pack_schedule(tree, p, per_proc, seq_order)
+        q = loads.index(min(loads))
+        roots_per_proc[q].append(r)
+        loads[q] += work[r]
+    return _assemble(prepared, p, roots_per_proc, sequential_order)

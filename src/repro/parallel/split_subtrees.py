@@ -122,20 +122,25 @@ def split_subtrees(tree: TaskTree, p: int) -> SplitResult:
 
     The loop records the sequence of popped nodes; after selecting the
     best step ``x``, the splitting is rebuilt by replaying the first
-    ``x`` pops (the pop order is deterministic).
+    ``x`` pops (the pop order is deterministic). The loop reads the
+    per-node columns as Python lists (the same float values, without
+    per-access numpy scalars).
     """
     if p < 1:
         raise ValueError("p must be positive")
-    work = tree.subtree_work()
+    work = tree.subtree_work().tolist()
+    w = tree.w.tolist()
+    ptr = tree.child_ptr.tolist()
+    cidx = tree.child_idx.tolist()
 
     def key(i: int) -> _Key:
-        return (float(work[i]), float(tree.w[i]), -i)
+        return (work[i], w[i], -i)
 
     frontier = _TopP(p)
     frontier.insert(key(tree.root))
     popped: list[int] = []
     seq_w = 0.0
-    costs: list[float] = [float(work[tree.root])]  # Cost(0) = W_root
+    costs: list[float] = [work[tree.root]]  # Cost(0) = W_root
     while True:
         head = frontier.head()
         head_node = -head[2]
@@ -143,14 +148,14 @@ def split_subtrees(tree: TaskTree, p: int) -> SplitResult:
         # Equality means the head subtree is a single node (a leaf, or an
         # inner node whose whole subtree has zero extra work) and further
         # splitting cannot reduce the parallel time.
-        if tree.is_leaf(head_node) or head[0] <= float(tree.w[head_node]) * (1 + 1e-12) + 1e-12:
+        if ptr[head_node] == ptr[head_node + 1] or head[0] <= w[head_node] * (1 + 1e-12) + 1e-12:
             break
         node = -frontier.pop_max()[2]
         popped.append(node)
-        seq_w += float(tree.w[node])
-        for c in tree.children(node):
+        seq_w += w[node]
+        for c in cidx[ptr[node] : ptr[node + 1]]:
             frontier.insert(key(c))
-        costs.append(float(frontier.head()[0]) + seq_w + frontier.surplus_work())
+        costs.append(frontier.head()[0] + seq_w + frontier.surplus_work())
     best_step = int(np.argmin(costs))
 
     # Replay the first `best_step` pops to rebuild that frontier.
@@ -158,19 +163,18 @@ def split_subtrees(tree: TaskTree, p: int) -> SplitResult:
     frontier.insert(key(tree.root))
     for node in popped[:best_step]:
         frontier.pop_max()
-        for c in tree.children(node):
+        for c in cidx[ptr[node] : ptr[node + 1]]:
             frontier.insert(key(c))
     all_roots = [-k[2] for k in frontier.top] + [k[2] for k in frontier.rest]
-    all_roots.sort(key=lambda i: key(i), reverse=True)
+    all_roots.sort(key=key, reverse=True)
     parallel_roots = tuple(all_roots[:p])
     in_parallel = np.zeros(tree.n, dtype=bool)
     for r in parallel_roots:
         in_parallel[tree.subtree_nodes(r)] = True
-    seq_nodes = tuple(int(i) for i in range(tree.n) if not in_parallel[i])
     return SplitResult(
         parallel_roots=parallel_roots,
         frontier_roots=tuple(all_roots),
-        seq_nodes=seq_nodes,
+        seq_nodes=tuple(np.flatnonzero(~in_parallel).tolist()),
         cost=float(costs[best_step]),
         steps=len(costs),
     )

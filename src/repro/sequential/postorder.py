@@ -50,19 +50,30 @@ from repro.core.tree import (
 )
 from .traversal import TraversalResult
 
-__all__ = ["optimal_postorder", "postorder_peaks", "natural_postorder"]
+__all__ = [
+    "optimal_postorder",
+    "optimal_postorder_from_peaks",
+    "postorder_peaks",
+    "natural_postorder",
+    "subtree_postorder",
+]
 
 
-def _postorder_peaks_loop(tree: TaskTree, peaks: np.ndarray) -> np.ndarray:
+def _postorder_peaks_loop(
+    tree: TaskTree, peaks: np.ndarray, descending_ties: bool
+) -> np.ndarray:
     """Per-node fallback (the historical loop) for deep, narrow trees."""
     f = tree.f
     sizes = tree.sizes
     leaf = tree.leaf_mask()
+    step = -1 if descending_ties else 1
     for i in tree.postorder().tolist():
         if leaf[i]:
             continue
         ordered = sorted(
-            tree.children(i).tolist(), key=lambda j: peaks[j] - f[j], reverse=True
+            tree.children(i).tolist()[::step],
+            key=lambda j: peaks[j] - f[j],
+            reverse=True,
         )
         acc = 0.0
         best = 0.0
@@ -80,6 +91,13 @@ def postorder_peaks(tree: TaskTree) -> np.ndarray:
     ``M_i`` is computed bottom-up with the recurrence above; the value at
     the root is the optimal postorder peak of the whole tree.
     """
+    return _postorder_peaks(tree, descending_ties=False)
+
+
+def _postorder_peaks(tree: TaskTree, descending_ties: bool) -> np.ndarray:
+    """:func:`postorder_peaks` with equal-key siblings visited in
+    ascending (historical) or descending node order. The tie order only
+    changes the float association of the ``f`` prefix sums."""
     n = tree.n
     f = tree.f
     sizes = tree.sizes
@@ -91,7 +109,7 @@ def postorder_peaks(tree: TaskTree) -> np.ndarray:
     depth = tree.depths()
     height = int(depth.max())
     if not use_level_sweeps(height, n):
-        return _postorder_peaks_loop(tree, peaks)
+        return _postorder_peaks_loop(tree, peaks, descending_ties)
 
     ptr = tree.child_ptr
     cidx = tree.child_idx
@@ -117,8 +135,10 @@ def postorder_peaks(tree: TaskTree) -> np.ndarray:
         # One segmented argsort for the whole level: primary key the
         # segment, secondary -key; np.lexsort is stable, so equal keys
         # keep ascending node order -- identical tie-breaking to the
-        # historical stable ``sorted(..., reverse=True)`` per node.
-        kids = kids[np.lexsort((-key, seg))]
+        # historical stable ``sorted(..., reverse=True)`` per node (or
+        # descending node order, with the index as a tertiary key).
+        sort_keys = (-kids, -key, seg) if descending_ties else (-key, seg)
+        kids = kids[np.lexsort(sort_keys)]
         f_k = f[kids]
         m_k = peaks[kids]
         # The recurrence's running sums, bucketed by degree class so the
@@ -167,21 +187,72 @@ def optimal_postorder(tree: TaskTree) -> TraversalResult:
     sizes)`` -- all integer arithmetic, bit-identical to the historical
     stack-based emission.
     """
-    peaks = postorder_peaks(tree)
-    n = tree.n
-    if n == 1:
-        return TraversalResult(
-            order=np.zeros(1, dtype=np.int64), peak_memory=float(peaks[0])
-        )
+    return optimal_postorder_from_peaks(tree, postorder_peaks(tree))
+
+
+def optimal_postorder_from_peaks(tree: TaskTree, peaks: np.ndarray) -> TraversalResult:
+    """:func:`optimal_postorder` for precomputed ``postorder_peaks(tree)``
+    (lets a caller that caches the peaks share them with the order)."""
+    order = np.empty(tree.n, dtype=np.int64)
+    order[_postorder_positions(tree, peaks, descending_ties=False)] = np.arange(
+        tree.n, dtype=np.int64
+    )
+    return TraversalResult(order=order, peak_memory=float(peaks[tree.root]))
+
+
+def _postorder_positions(
+    tree: TaskTree, peaks: np.ndarray, descending_ties: bool
+) -> np.ndarray:
+    """Position of every node in the optimal postorder for ``peaks``,
+    equal-key siblings in ascending or descending node order."""
+    if tree.n == 1:
+        return np.zeros(1, dtype=np.int64)
     cidx = tree.child_idx
     key = peaks[cidx] - tree.f[cidx]
-    sorted_cidx = cidx[np.lexsort((-key, tree.parent[cidx]))]
-    post = postorder_positions_from_sibling_order(
+    sort_keys = (-cidx, -key, tree.parent[cidx]) if descending_ties else (-key, tree.parent[cidx])
+    sorted_cidx = cidx[np.lexsort(sort_keys)]
+    return postorder_positions_from_sibling_order(
         tree.parent, tree.child_ptr, sorted_cidx, tree.subtree_sizes(copy=False), tree.depths()
     )
-    order = np.empty(n, dtype=np.int64)
-    order[post] = np.arange(n, dtype=np.int64)
-    return TraversalResult(order=order, peak_memory=float(peaks[tree.root]))
+
+
+def subtree_postorder(
+    tree: TaskTree, peaks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every subtree's optimal postorder and peak from one whole-tree pass.
+
+    ``tree.subtree(r)`` relabels nodes in reversed preorder, so among
+    siblings a larger original index becomes a *smaller* new index, and
+    :func:`optimal_postorder` of the copy breaks equal-key ties by
+    descending original index. Returns ``(sub_peaks, order, pos)``: the
+    peaks and optimal postorder of the whole tree under that tie rule,
+    and each node's position in ``order``. For every node ``r`` with
+    ``sub, nodes = tree.subtree(r)``, bit for bit,
+
+    * ``sub_peaks[r] == optimal_postorder(sub).peak_memory``;
+    * ``order[pos[r] - size[r] + 1 : pos[r] + 1] ==
+      nodes[optimal_postorder(sub).order]`` (``size`` the subtree sizes),
+
+    because each node of the subtree sees the same children, sorted by
+    the same keys in the same tie order, with the same float additions.
+    ``peaks`` is ``postorder_peaks(tree)``. With integral ``f`` and
+    ``sizes`` summing below ``2**53`` every prefix sum is exact, so the
+    tie order cannot move a peak and ``peaks`` is reused; otherwise the
+    peaks are recomputed under the descending rule (two tied siblings
+    of different non-integral ``f`` can move a prefix sum by an ulp).
+    """
+    f, sizes = tree.f, tree.sizes
+    exact = (
+        np.array_equal(np.floor(f), f)
+        and np.array_equal(np.floor(sizes), sizes)
+        and float(f.sum() + sizes.sum()) < 2**53
+    )
+    if not exact:
+        peaks = _postorder_peaks(tree, descending_ties=True)
+    pos = _postorder_positions(tree, peaks, descending_ties=True)
+    order = np.empty(tree.n, dtype=np.int64)
+    order[pos] = np.arange(tree.n, dtype=np.int64)
+    return peaks, order, pos
 
 
 def natural_postorder(tree: TaskTree) -> TraversalResult:

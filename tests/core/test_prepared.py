@@ -227,7 +227,9 @@ class TestRegistryIntegration:
             assert same_schedule(got, ref), (name, p)
 
     def test_prepared_flag_matches_catalogue(self):
-        engine_based = {
+        prepared_aware = {
+            "ParSubtrees",
+            "ParSubtreesOptim",
             "ParInnerFirst",
             "ParDeepestFirst",
             "ParInnerFirst/naiveO",
@@ -236,7 +238,7 @@ class TestRegistryIntegration:
             "MemoryAwareSubtrees",
         }
         for algo in registry.algorithms():
-            assert algo.accepts_prepared == (algo.name in engine_based), algo.name
+            assert algo.accepts_prepared == (algo.name in prepared_aware), algo.name
 
     def test_p_sweep_reuses_preparation(self, tree, prepared):
         # after one run, a later p only pays the sweep: the optimal
