@@ -9,10 +9,11 @@ those runs derives the identical state from the :class:`TaskTree`:
   ``completion_frees`` released at completion),
 * the memory-optimal sequential postorder (ParInnerFirst's leaf order,
   ParDeepestFirst's tie-break, the capped modes' activation order, and
-  the memory lower bound of every record) and its per-subtree peaks,
-* the subtree-splitting family's state: one whole-tree postorder of
-  which every subtree's memory-optimal order is a contiguous slice,
-  and the Algorithm 2 splitting per ``p``,
+  the memory lower bound of every record),
+* the subtree-splitting family's state: every subtree's optimal
+  postorder peak, one whole-tree postorder of which every subtree's
+  memory-optimal order is a contiguous slice, and the Algorithm 2
+  splitting per ``p``,
 * the per-algorithm priority rank permutations (one ``lex_rank`` sweep
   each -- identical for every ``p`` and every cap), and
 * the pure-Python backend's list conversions of the per-node arrays.
@@ -127,13 +128,11 @@ class PreparedTree:
         "_scratch_free",
         "_scratch_next",
         "_alloc",
-        "_peaks",
         "_optimal",
         "_subtree_postorder",
         "_splits",
         "_sigma_rank",
         "_wdepths",
-        "_work_cp",
         "_exactness",
         "_ranks",
         "_byranks",
@@ -151,13 +150,11 @@ class PreparedTree:
         self._scratch_free: list[int] = []
         self._scratch_next = 0
         self._alloc = None
-        self._peaks = None
         self._optimal = None
         self._subtree_postorder = None
         self._splits: dict[int, object] = {}
         self._sigma_rank = None
         self._wdepths = None
-        self._work_cp = None
         self._exactness = None
         self._ranks: dict[Hashable, np.ndarray] = {}
         self._byranks: dict[int, np.ndarray] = {}
@@ -293,19 +290,10 @@ class PreparedTree:
         every experiment record.
         """
         if self._optimal is None:
-            from repro.sequential.postorder import optimal_postorder_from_peaks
+            from repro.sequential.postorder import optimal_postorder
 
-            self._optimal = optimal_postorder_from_peaks(self.tree, self.postorder_peaks())
+            self._optimal = optimal_postorder(self.tree)
         return self._optimal
-
-    def postorder_peaks(self) -> np.ndarray:
-        """Optimal postorder peak of every subtree (read-only), shared
-        by :meth:`optimal` and :meth:`subtree_postorder`."""
-        if self._peaks is None:
-            from repro.sequential.postorder import postorder_peaks
-
-            self._peaks = _frozen(postorder_peaks(self.tree))
-        return self._peaks
 
     @property
     def optimal_computed(self):
@@ -348,10 +336,7 @@ class PreparedTree:
         computation)."""
         if p < 1:
             raise ValueError("p must be positive")
-        if self._work_cp is None:
-            self._work_cp = (float(self.tree.w.sum()), float(self.weighted_depths().max()))
-        work, cp = self._work_cp
-        return max(work / p, cp)
+        return max(float(self.tree.w.sum()) / p, float(self.weighted_depths().max()))
 
     # ------------------------------------------------------------------
     # subtree-splitting family
@@ -364,7 +349,7 @@ class PreparedTree:
         if self._subtree_postorder is None:
             from repro.sequential.postorder import subtree_postorder
 
-            peaks, order, pos = subtree_postorder(self.tree, self.postorder_peaks())
+            peaks, order, pos = subtree_postorder(self.tree)
             self._subtree_postorder = (_frozen(peaks), _frozen(order), _frozen(pos))
         return self._subtree_postorder
 

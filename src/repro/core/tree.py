@@ -470,35 +470,16 @@ class TaskTree:
     def subtree_work(self) -> np.ndarray:
         """Total processing time of each subtree (``W_i`` in Section 5.1).
 
-        Every parent accumulates its children's totals into its own
-        ``w`` in ascending child order, ``((w_i + W_{c_1}) + W_{c_2})
-        \\dots`` -- the float association of the historical postorder
-        loop. Shallow trees do it level-synchronously (``np.add.at``
-        applies a level's additions in index order, deepest level
-        first); deep, chain-like trees keep the loop. Computed once and
-        cached read-only; every call returns a copy.
+        Computed once and cached read-only; every call returns a copy.
         """
         if self._subtree_work is None:
-            n = self.n
-            depth = self._depths
-            height = int(depth.max())
-            if use_level_sweeps(height, n):
-                work = self.w.copy()
-                by_depth = np.argsort(depth, kind="stable")
-                level_counts = np.bincount(depth, minlength=height + 1)
-                pos = n
-                for c in level_counts[:0:-1]:  # deepest level ... level 1
-                    nodes = by_depth[pos - c : pos]
-                    pos -= c
-                    np.add.at(work, self.parent[nodes], work[nodes])
-            else:
-                parent = self.parent.tolist()
-                acc = self.w.tolist()
-                for node in self._postorder.tolist():
-                    p = parent[node]
-                    if p != NO_PARENT:
-                        acc[p] += acc[node]
-                work = np.asarray(acc, dtype=np.float64)
+            parent = self.parent.tolist()
+            acc = self.w.tolist()
+            for node in self._postorder.tolist():
+                p = parent[node]
+                if p != NO_PARENT:
+                    acc[p] += acc[node]
+            work = np.asarray(acc, dtype=np.float64)
             work.setflags(write=False)
             object.__setattr__(self, "_subtree_work", work)
         return self._subtree_work.copy()

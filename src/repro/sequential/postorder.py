@@ -52,7 +52,6 @@ from .traversal import TraversalResult
 
 __all__ = [
     "optimal_postorder",
-    "optimal_postorder_from_peaks",
     "postorder_peaks",
     "natural_postorder",
     "subtree_postorder",
@@ -187,12 +186,7 @@ def optimal_postorder(tree: TaskTree) -> TraversalResult:
     sizes)`` -- all integer arithmetic, bit-identical to the historical
     stack-based emission.
     """
-    return optimal_postorder_from_peaks(tree, postorder_peaks(tree))
-
-
-def optimal_postorder_from_peaks(tree: TaskTree, peaks: np.ndarray) -> TraversalResult:
-    """:func:`optimal_postorder` for precomputed ``postorder_peaks(tree)``
-    (lets a caller that caches the peaks share them with the order)."""
+    peaks = postorder_peaks(tree)
     order = np.empty(tree.n, dtype=np.int64)
     order[_postorder_positions(tree, peaks, descending_ties=False)] = np.arange(
         tree.n, dtype=np.int64
@@ -216,9 +210,7 @@ def _postorder_positions(
     )
 
 
-def subtree_postorder(
-    tree: TaskTree, peaks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def subtree_postorder(tree: TaskTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every subtree's optimal postorder and peak from one whole-tree pass.
 
     ``tree.subtree(r)`` relabels nodes in reversed preorder, so among
@@ -235,20 +227,11 @@ def subtree_postorder(
 
     because each node of the subtree sees the same children, sorted by
     the same keys in the same tie order, with the same float additions.
-    ``peaks`` is ``postorder_peaks(tree)``. With integral ``f`` and
-    ``sizes`` summing below ``2**53`` every prefix sum is exact, so the
-    tie order cannot move a peak and ``peaks`` is reused; otherwise the
-    peaks are recomputed under the descending rule (two tied siblings
-    of different non-integral ``f`` can move a prefix sum by an ulp).
+    The peaks are those of :func:`postorder_peaks` under the descending
+    tie rule: two tied siblings of different non-integral ``f`` can move
+    a prefix sum by an ulp between the two tie orders.
     """
-    f, sizes = tree.f, tree.sizes
-    exact = (
-        np.array_equal(np.floor(f), f)
-        and np.array_equal(np.floor(sizes), sizes)
-        and float(f.sum() + sizes.sum()) < 2**53
-    )
-    if not exact:
-        peaks = _postorder_peaks(tree, descending_ties=True)
+    peaks = _postorder_peaks(tree, descending_ties=True)
     pos = _postorder_positions(tree, peaks, descending_ties=True)
     order = np.empty(tree.n, dtype=np.int64)
     order[pos] = np.arange(tree.n, dtype=np.int64)

@@ -104,7 +104,7 @@ def test_zoo_reaches_both_peak_kernels():
 
 def test_zoo_reaches_the_descending_tie_recompute():
     # at least one zoo tree has subtree peaks that differ from the
-    # ascending-tie peaks, so the recompute branch is pinned below
+    # ascending-tie peaks, so the descending tie rule is pinned below
     assert any(
         not np.array_equal(PreparedTree(t).subtree_postorder()[0], postorder_peaks(t))
         for t in ZOO.values()
