@@ -6,11 +6,11 @@ Three modes, timing schedulers on random trees:
   verbatim below: a heapq event loop driven by a per-node Python
   priority closure) against the unified engine's pure-Python reference
   backend, isolating what the PR-1 vectorization changed;
-* **``--compare-backends``** -- the engine's sweep backends against
-  each other (``python`` vs. every available compiled backend:
-  ``numba`` and/or ``c``), with the priority rank precomputed outside
-  the timed region so the measurement isolates the *event sweep*
-  itself. All backends must produce the identical schedule (asserted);
+* **``--compare-backends``** -- the engine's two sweep backends
+  against each other (``python`` vs. ``c`` when it builds), with the
+  priority rank precomputed outside the timed region so the
+  measurement isolates the *event sweep* itself. Both backends must
+  produce the identical schedule (asserted);
 * **``--grid``** -- an (8-algorithm x 4-p) campaign grid over one tree,
   unprepared (every scenario re-derives the tree state, the historical
   behaviour) vs. prepared (one
@@ -19,7 +19,7 @@ Three modes, timing schedulers on random trees:
   the amortization win of the prepared-tree refactor.
 * **``--megabatch``** -- the same grid, per-scenario prepared calls vs.
   one :func:`~repro.core.engine.sweep_batch` megabatch kernel call
-  (OpenMP/prange-threaded across scenarios in the compiled backends;
+  (OpenMP-threaded across scenarios in the C backend;
   ``--threads`` controls the worker count, default
   :func:`~repro.core.engine.default_threads`). Schedules must match the
   per-scenario path bit for bit (asserted); the ratio is the win of
@@ -166,10 +166,8 @@ def legacy_par_deepest_first(tree, p, order):
 # backend comparison: the event sweep itself, per engine backend
 # ----------------------------------------------------------------------
 def default_backends() -> list[str]:
-    """``python`` plus every available *compiled* backend (the
-    interpreted ``kernel`` backend is a testing aid, not a contender)."""
-    avail = available_backends()
-    return ["python"] + [b for b in ("numba", "c") if b in avail]
+    """``python`` plus ``c`` when the C kernel builds here."""
+    return ["python"] + (["c"] if "c" in available_backends() else [])
 
 
 def run_backend_bench(
@@ -180,8 +178,8 @@ def run_backend_bench(
     The priority rank and the engine are built outside the timed region,
     so the numbers isolate the sweep (plus each backend's per-run array
     preparation). One untimed warm-up run per backend produces the
-    reference schedule and absorbs one-time costs (numba JIT
-    compilation, the C kernel build); every backend's schedule must
+    reference schedule and absorbs one-time costs (the C kernel
+    build); every backend's schedule must
     match the pure-Python reference bit for bit.
     """
     backends = default_backends() if backends is None else backends
@@ -194,7 +192,7 @@ def run_backend_bench(
         ref = None
         for backend in backends:
             engine = SchedulerEngine(tree, p, rank, backend=backend)
-            got = engine.run()  # warm-up (JIT/compile) + reference schedule
+            got = engine.run()  # warm-up (compile) + reference schedule
             assert engine.backend_used == backend, (
                 f"{backend} fell back to {engine.backend_used}"
             )
@@ -267,7 +265,7 @@ def run_grid_bench(sizes, repeats: int, seed: int, backend: str | None = None) -
                 for name, params in GRID_ALGOS
             ]
 
-        ref = run_grid(tree)  # warm-up (JIT/compile) + reference schedules
+        ref = run_grid(tree)  # warm-up (compile) + reference schedules
         t_unprep, _ = best_of(lambda: run_grid(tree), repeats)
         t_prep, got = best_of(lambda: run_grid(PreparedTree(tree)), repeats)
         for a, b in zip(ref, got):
@@ -303,8 +301,8 @@ def run_megabatch_bench(
     per-scenario path calls ``registry.run`` once per grid cell, the
     megabatch path stacks every cell's :class:`BatchScenario` and makes
     a single :func:`sweep_batch` call -- one kernel invocation for the
-    whole grid, thread-parallel across scenarios in the compiled
-    backends. Schedules must match bit for bit (asserted).
+    whole grid, thread-parallel across scenarios in the C backend.
+    Schedules must match bit for bit (asserted).
     """
     nthreads = default_threads() if threads is None else max(1, int(threads))
     rows = []
@@ -329,7 +327,7 @@ def run_megabatch_bench(
                 prepared, specs, backend=backend, threads=nthreads
             ).schedules()
 
-        ref = run_single()  # warm-up (JIT/compile) + reference schedules
+        ref = run_single()  # warm-up (compile) + reference schedules
         run_batch()  # warm-up the batch entry point too
         t_single, _ = best_of(run_single, repeats)
         t_batch, got = best_of(run_batch, repeats)
@@ -469,15 +467,15 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compare-backends",
         action="store_true",
-        help="compare the engine's sweep backends (python vs. available "
-        "compiled ones) instead of the legacy-vs-vectorized comparison",
+        help="compare the engine's sweep backends (python vs. c) instead "
+        "of the legacy-vs-vectorized comparison",
     )
     parser.add_argument(
         "--backends",
         nargs="+",
         default=None,
-        help="backends for --compare-backends (default: python + "
-        "available compiled backends)",
+        help="backends for --compare-backends (default: python, plus c "
+        "when it builds)",
     )
     parser.add_argument(
         "--grid",

@@ -2,11 +2,7 @@
 
 The offline environment has setuptools but no ``wheel`` package, so
 PEP 660 editable installs (which build a wheel) fail; a plain
-``setup.py`` keeps the legacy ``pip install -e .`` develop path working
-and is also what CI uses to install the optional compiled-backend
-extra: ``pip install '.[fast]'`` pulls in numba for the engine's
-``backend="numba"`` event-sweep kernel (see README, "Optional compiled
-backend").
+``setup.py`` keeps the legacy ``pip install -e .`` develop path working.
 """
 
 from setuptools import find_packages, setup
@@ -27,10 +23,6 @@ setup(
         "networkx",
     ],
     extras_require={
-        # compiled event-sweep backend for repro.core.engine
-        # (backend="numba"); everything works without it, this is a
-        # pure speed upgrade -- schedules are bit-identical either way
-        "fast": ["numba>=0.57"],
         # production event loop for the scheduling service: `repro
         # serve` itself is pure stdlib (http.server); this extra adds
         # uvicorn for running the bundled ASGI app

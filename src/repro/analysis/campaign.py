@@ -15,9 +15,9 @@ backend to the ones that declare ``backend``.
 
 On top of the grouping, each tree's engine-backed scenarios are swept
 in **one megabatch kernel call** (:func:`repro.core.engine.sweep_batch`):
-the stacked grid crosses the Python boundary once and the compiled
-backends thread across scenarios (OpenMP / numba ``prange``), GIL-free,
-with bit-identical per-scenario results for any thread count.
+the stacked grid crosses the Python boundary once and the C kernel
+threads across scenarios with OpenMP, GIL-free, with bit-identical
+per-scenario results for any thread count.
 
 There are two executors and one record-assembly path
 (:func:`_scenario_records`): ``workers=1`` runs in process, and
@@ -331,7 +331,7 @@ def run_campaign(
         detection, per-scenario retries with exponential backoff,
         quarantine of poison scenarios as :class:`FailedRecord` stream
         entries, and per-worker backend health probing with graceful
-        degradation (c -> numba -> python). Each tree's slice is one
+        degradation (c -> python). Each tree's slice is one
         work unit, assembled exactly as in process; the record stream
         -- and the checkpoint -- is byte-identical to an in-process run.
     retries:

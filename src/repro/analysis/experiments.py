@@ -141,10 +141,10 @@ def run_experiments(
         most one truncated line behind.
     backend:
         engine sweep backend forwarded to every algorithm that declares
-        it (``"auto"``/``"python"``/``"numba"``/``"c"``); with
+        it (``"auto"``/``"python"``/``"c"``); with
         ``workers > 1`` the pool's first worker health-probes it and
         every worker sweeps with the surviving backend.
-        All backends are bit-identical, so records do not depend on it.
+        Both backends are bit-identical, so records do not depend on it.
     supervise, retries, timeout:
         run under the fault-tolerant supervised worker pool (crash and
         hang detection, bounded retries with backoff, quarantine of

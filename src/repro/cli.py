@@ -507,6 +507,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro.cli`` / the ``repro-trees`` script."""
+    from repro.core.engine import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro-trees",
         description="Reproduce 'Scheduling tree-shaped task graphs to "
@@ -537,10 +539,10 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument(
             "--backend",
             default=None,
-            choices=("auto", "python", "numba", "c", "kernel"),
+            choices=BACKENDS,
             help="event-sweep backend for the engine-based schedulers "
-            "(default: auto = fastest available; all backends produce "
-            "bit-identical schedules)",
+            "(default: auto = c when it builds, else python; both "
+            "produce bit-identical schedules)",
         )
         sp.add_argument("--verbose", action="store_true")
 

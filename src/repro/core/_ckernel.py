@@ -1,13 +1,103 @@
-"""C implementation of the event-sweep kernel spec (``backend="c"``).
+"""The event-sweep kernel spec and its C implementation (``backend="c"``).
 
-A line-for-line translation of :func:`repro.core._sweep._event_sweep`
-into C, compiled on demand with the system toolchain (``cc``/``gcc``/
-``clang``) into a shared library cached under the user cache directory
-(override with ``REPRO_KERNEL_CACHE``) and loaded via :mod:`ctypes`.
-Like the numba backend it is strictly optional: when no toolchain is
-available (or the compile attempts fail) :func:`available` returns
-False and the engine falls back cleanly.
+The kernel runs the engine's whole event-driven list-scheduling sweep
+(:class:`repro.core.engine.SchedulerEngine`) over typed, C-contiguous
+numpy arrays with **no Python objects in the hot loop** -- array-based
+binary heaps instead of ``heapq``, integer node ids instead of tuples.
+It is written in C, compiled on demand with the system toolchain
+(``cc``/``gcc``/``clang``) into a shared library cached under the user
+cache directory (override with ``REPRO_KERNEL_CACHE``) and loaded via
+:mod:`ctypes`. It is strictly optional: when no toolchain is available
+(or the compile attempts fail) :func:`available` returns False and the
+engine falls back cleanly to its pure-Python reference loop.
 
+Kernel spec
+-----------
+Arrays in (all C-contiguous, ``int64``/``float64``):
+
+``parent``
+    in-tree parent vector (root = -1).
+``pending``
+    per-node count of incomplete children, i.e. ``np.diff(child_ptr)``
+    of the CSR children structure; **mutated** by the sweep.
+``w``
+    task durations.
+``rank`` / ``byrank``
+    priority permutation and its inverse (``byrank[rank[i]] == i``).
+``mode`` / ``cap_eps``
+    0 = no memory cap; 1 = strict activation order; 2 = opportunistic.
+    ``cap_eps`` is the cap plus the engine's feasibility epsilon.
+``alloc`` / ``free_on_end`` / ``sigma``
+    memory acquired at start / released at completion per node, and the
+    activation order (``sigma`` may be empty when ``mode == 0``).
+
+Arrays out:
+
+``start`` / ``end_out`` / ``proc``
+    start time, completion time and processor of every task
+    (``start``/``proc`` must be initialised to -1).
+``activation``
+    the k-th entry is the k-th task to *start* (chronological, ties
+    resolved exactly as the reference backend resolves them).
+``mem_trace``
+    resident memory immediately after each start, aligned with
+    ``activation`` -- the peak-memory trace of the sweep
+    (``mem_trace.max()`` is the schedule's peak for capped modes).
+``status`` (``int64[2]``)
+    ``status[0]``: 0 = ok, 1 = memory cap infeasible, 2 = strict-mode
+    rank/activation mismatch, 3 = deadlock (defensive), 4 = scratch
+    allocation failure; ``status[1]``: the offending node for codes 1-2.
+``finals`` (``float64[2]``)
+    final simulation time (= makespan) and final resident memory.
+
+Equivalence contract
+--------------------
+The kernel must produce **bit-identical** outputs to the pure-Python
+reference loop (``SchedulerEngine._run_python``), which it mirrors
+statement for statement. Floating point makes this subtle in two
+places, both resolved by construction:
+
+* *Event keys.* The reference loop encodes events of integral-weight
+  trees as exact integers ``end * n + node``; the kernel always uses a
+  ``(float64 end, int64 node)`` pair heap. The two orders coincide
+  whenever every completion time is exactly representable as a float64,
+  which the engine guarantees before selecting the kernel (it falls
+  back to the reference loop for integral weights whose total exceeds
+  2**53 -- see ``SchedulerEngine.run``).
+* *Memory accounting.* ``mem`` is accumulated with the same
+  adds/subtracts in the same chronological order as the reference loop,
+  so capped-mode feasibility decisions (and ``mem_trace``) match bit
+  for bit.
+
+Heap pop order is determined by the key order alone -- ready entries
+are bare ranks (a permutation, hence unique) and running entries carry
+the node id as tie-break -- so an array-based binary heap reproduces
+``heapq`` exactly without mimicking its internals.
+
+Batched spec
+------------
+Besides the single-scenario ``event_sweep`` the library exports
+``batch_event_sweep``, which extends the spec to a whole scenario grid
+over **one tree** in a single call: stacked per-scenario parameters in
+(``ps``/``modes``/``cap_eps`` per scenario, priority ranks and
+activation orders deduplicated into ``(R, n)`` / ``(K, n)`` stacks and
+referenced by ``rank_id`` / ``sigma_id``; ``sigma_id < 0`` means
+uncapped), stacked ``(S, n)`` result arrays out. Every scenario is an
+independent sweep against the same read-only tree columns -- the only
+mutable input, ``pending``, is copied per scenario from the pristine
+``pending0`` -- so the outer loop is OpenMP-parallel over scenarios.
+Each worker thread owns one scratch arena (heaps plus a private
+``pending`` copy refilled per scenario), so any thread count produces
+per-scenario results bit-identical to single calls. The library is
+first built with ``-fopenmp``; when the toolchain lacks OpenMP support
+the build falls back to a serial translation of the same loop
+(``REPRO_NO_OPENMP=1`` forces the serial build, which is what the
+no-OpenMP CI leg exercises). :func:`openmp_enabled` reports which
+variant loaded; ctypes releases the GIL for the duration of the call
+either way.
+
+Build cache
+-----------
 The build is keyed by a hash of the C source **and the compiler
 flags**, so editing the kernel invalidates the cache automatically,
 an OpenMP build can never collide with a previously cached serial
@@ -18,23 +108,6 @@ and a stale-lock-tolerant ``.lock`` guard elects one builder while the
 others wait for the artifact to appear (a crashed builder's lock is
 broken once it goes stale, and a lock wait that times out simply
 compiles redundantly -- ``os.replace`` keeps that correct).
-
-Besides the single-scenario ``event_sweep`` the library exports
-``batch_event_sweep``: the batched kernel spec
-(:func:`repro.core._sweep._batch_sweep`) with an OpenMP-parallel outer
-loop over scenarios. Each worker thread owns one scratch arena (heaps
-plus a private ``pending`` copy refilled per scenario), so any thread
-count produces bit-identical per-scenario results. The library is
-first built with ``-fopenmp``; when the toolchain lacks OpenMP support
-the build falls back to a serial translation of the same loop
-(``REPRO_NO_OPENMP=1`` forces the serial build, which is what the
-no-OpenMP CI leg exercises). :func:`openmp_enabled` reports which
-variant loaded; ctypes releases the GIL for the duration of the call
-either way.
-
-The C side follows the exact kernel spec of :mod:`repro.core._sweep`
-(same argument order, same status codes, same bit-for-bit equivalence
-contract with the pure-Python reference backend).
 """
 
 from __future__ import annotations
@@ -408,7 +481,7 @@ static int64_t batch_chunk(int64_t n, int64_t max_p,
     return failed;
 }
 
-/* The batched kernel spec (see repro.core._sweep._batch_sweep): one
+/* The batched kernel spec (see the module docstring): one
  * call sweeps every scenario of a grid against the same tree, the
  * outer loop threaded with OpenMP when compiled in.  Scenario s reads
  * rank row rank_id[s] of the (R x n) ranks/byranks stacks and (when
@@ -756,7 +829,8 @@ def kernel(
     status,
     finals,
 ):
-    """Invoke the C kernel with the spec's argument order (see _sweep)."""
+    """Invoke the C kernel with the spec's argument order (see the
+    module docstring)."""
     build = _ensure_built()
     fn = build[0]
     if fn is None:  # pragma: no cover - callers check available() first
@@ -807,8 +881,8 @@ def batch_kernel(
     finals,
     threads=1,
 ):
-    """Invoke the batched C kernel (argument order of
-    :func:`repro.core._sweep._batch_sweep`, plus ``threads``).
+    """Invoke the batched C kernel (the batched spec's argument order,
+    plus ``threads``).
 
     ``threads`` is the OpenMP team size (ignored by a serial build).
     ctypes releases the GIL for the duration, so the whole grid sweeps

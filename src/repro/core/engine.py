@@ -19,20 +19,15 @@ Two design points make the engine fast on large trees:
   then holds plain integer ranks, so the event loop performs O(log n)
   integer heap operations only -- no closure calls, no float tuple
   comparisons, no numpy scalar indexing.
-* **Pluggable sweep backends.** The sweep itself exists as a
-  backend-neutral kernel spec (:mod:`repro.core._sweep`): typed numpy
-  arrays in, typed numpy arrays out. ``backend="python"`` runs the
-  reference heapq loop below (the CPython floor, ~1.5 us/task);
-  ``backend="numba"`` runs the same kernel compiled by ``numba.njit``
-  (optional dependency, ``pip install repro-trees[fast]``);
-  ``backend="c"`` runs a C translation built on demand with the system
-  toolchain (:mod:`repro.core._ckernel`); ``backend="kernel"`` runs
-  the kernel source interpreted (slow; for testing the kernel logic
-  without a compiler). ``backend="auto"`` (the default) picks the
-  fastest available and falls back cleanly to pure Python. **Every
-  backend produces bit-identical schedules** -- pinned by the
-  cross-backend golden tests, so perf work can never silently change
-  paper results.
+* **A compiled sweep backend.** The sweep exists as a kernel spec
+  (:mod:`repro.core._ckernel`): typed numpy arrays in, typed numpy
+  arrays out. ``backend="python"`` runs the reference heapq loop below
+  (the CPython floor, ~1.5 us/task); ``backend="c"`` runs the spec's C
+  implementation, built on demand with the system toolchain.
+  ``backend="auto"`` (the default) picks C when it builds and falls
+  back cleanly to pure Python. **Both backends produce bit-identical
+  schedules** -- pinned by the cross-backend golden tests, so perf
+  work can never silently change paper results.
 
 Complexity is :math:`O(n \\log n)` (binary heaps for both the running
 set and the ready queue), matching the paper's analysis; the constant
@@ -48,8 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _sweep
-from ._sweep import SweepResult, batch_arrays, sweep_arrays
+from . import _ckernel
 from .prepared import PreparedTree, as_prepared
 from .schedule import Schedule
 from .tree import TaskTree, NO_PARENT
@@ -78,15 +72,14 @@ BACKEND_ENV_VAR = "REPRO_ENGINE_BACKEND"
 THREADS_ENV_VAR = "REPRO_NUM_THREADS"
 
 #: accepted values for ``SchedulerEngine(backend=...)``
-BACKENDS = ("auto", "python", "numba", "c", "kernel")
+BACKENDS = ("auto", "python", "c")
 
 
-# Thread-pool runtimes (libgomp, numba's threading layer) are not
-# fork-safe: a process that entered a parallel region and then forks
-# (the campaign worker pool) must not re-enter one in the child. The
-# pair of flags below tracks exactly that; children of a
-# parallel-tainted parent batch through the bit-identical per-scenario
-# kernel loop instead (see sweep_batch).
+# The OpenMP runtime (libgomp) is not fork-safe: a process that
+# entered a parallel region and then forks (the campaign worker pool)
+# must not re-enter one in the child. The pair of flags below tracks
+# exactly that; children of a parallel-tainted parent batch with one
+# thread, which never enters the OpenMP runtime (see sweep_batch).
 _PARALLEL_USED = False
 _FORK_UNSAFE = False
 
@@ -137,59 +130,33 @@ class BackendUnavailableError(RuntimeError):
 def available_backends() -> tuple[str, ...]:
     """The concrete backends usable in this environment, fastest first.
 
-    ``python`` and ``kernel`` are always present; ``numba`` requires the
-    optional dependency (``pip install repro-trees[fast]``); ``c``
-    requires a working C toolchain (first call compiles the kernel).
+    ``python`` is always present; ``c`` requires a working C toolchain
+    (first call compiles the kernel).
     """
-    names = []
-    if _sweep.HAVE_NUMBA:
-        names.append("numba")
-    from . import _ckernel
-
-    if _ckernel.available():
-        names.append("c")
-    names.append("python")
-    names.append("kernel")
-    return tuple(names)
+    return ("c", "python") if _ckernel.available() else ("python",)
 
 
 def resolve_backend(backend: str | None = None) -> str:
     """Resolve a backend request to a concrete backend name.
 
     ``None`` reads the ``REPRO_ENGINE_BACKEND`` environment variable and
-    defaults to ``"auto"``. ``"auto"`` picks the fastest available
-    backend (numba, then the C kernel, then pure Python) and never
-    fails; explicitly requesting an unavailable backend raises
-    :class:`BackendUnavailableError` with the reason and the fix.
+    defaults to ``"auto"``. ``"auto"`` picks the C kernel when it builds,
+    else pure Python, and never fails; explicitly requesting ``"c"``
+    where it cannot build raises :class:`BackendUnavailableError` with
+    the reason and the fix.
     """
     if backend is None:
         backend = os.environ.get(BACKEND_ENV_VAR, "") or "auto"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if backend == "auto":
-        if _sweep.HAVE_NUMBA:
-            return "numba"
-        from . import _ckernel
-
-        if _ckernel.available():
-            return "c"
-        return "python"
-    if backend == "numba" and not _sweep.HAVE_NUMBA:
+        return available_backends()[0]
+    if backend == "c" and not _ckernel.available():
         raise BackendUnavailableError(
-            "backend='numba' requested but numba is not installed; "
-            "install the optional extra (pip install 'repro-trees[fast]' "
-            "or pip install numba), or use backend='auto' to fall back "
-            "to the fastest available backend"
+            "backend='c' requested but the compiled kernel is "
+            f"unavailable ({_ckernel.unavailable_reason()}); use "
+            "backend='auto' to fall back to the pure-Python backend"
         )
-    if backend == "c":
-        from . import _ckernel
-
-        if not _ckernel.available():
-            raise BackendUnavailableError(
-                "backend='c' requested but the compiled kernel is "
-                f"unavailable ({_ckernel.unavailable_reason()}); use "
-                "backend='auto' to fall back to the fastest available backend"
-            )
     return backend
 
 
@@ -212,10 +179,10 @@ def probe_backend(
     it *run*": each candidate executes a real two-node sweep, and the
     first one to produce a schedule wins. Candidates are tried in
     degradation order -- the requested backend first, then the
-    remaining concrete backends fastest-first (``numba``, ``c``,
-    ``python``), so an explicit ``backend="c"`` whose compile fails
-    (toolchain missing, or an injected ``compile_failure`` fault)
-    degrades ``c -> numba -> python`` instead of raising.
+    remaining concrete backends fastest-first (``c``, ``python``), so
+    an explicit ``backend="c"`` whose compile fails (toolchain missing,
+    or an injected ``compile_failure`` fault) degrades ``c -> python``
+    instead of raising.
 
     Returns ``(usable backend, skipped)`` where ``skipped`` lists the
     ``(backend, reason)`` pairs that failed the probe -- the supervised
@@ -250,7 +217,7 @@ def probe_backend(
         skipped.append((requested, str(exc)))
         first = None
     chain = ([first] if first is not None else []) + [
-        b for b in ("numba", "c", "python") if b != first
+        b for b in ("c", "python") if b != first
     ]
     probe_tree = TaskTree.from_parents([-1, 0], w=1.0, f=1.0, sizes=0.0)
     rank = np.arange(2, dtype=np.int64)
@@ -308,6 +275,48 @@ def rank_from_callable(tree: TaskTree, priority: Callable[[int], tuple]) -> np.n
     return rank
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """The kernel spec's output arrays for one completed sweep."""
+
+    start: np.ndarray
+    end: np.ndarray
+    proc: np.ndarray
+    activation: np.ndarray
+    mem_trace: np.ndarray
+    now: float
+    mem: float
+
+
+def sweep_arrays(n: int) -> tuple[np.ndarray, ...]:
+    """Freshly initialised output arrays for one kernel invocation:
+    ``(start, end_out, proc, activation, mem_trace, status, finals)``."""
+    return (
+        np.full(n, -1.0, dtype=np.float64),
+        np.empty(n, dtype=np.float64),
+        np.full(n, -1, dtype=np.int64),
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.float64),
+        np.zeros(2, dtype=np.int64),
+        np.zeros(2, dtype=np.float64),
+    )
+
+
+def batch_arrays(nscen: int, n: int) -> tuple[np.ndarray, ...]:
+    """Freshly initialised stacked output arrays for one batched kernel
+    invocation over ``nscen`` scenarios: the ``(S, n)`` counterparts of
+    :func:`sweep_arrays` (row ``s`` is scenario ``s``'s output)."""
+    return (
+        np.full((nscen, n), -1.0, dtype=np.float64),
+        np.empty((nscen, n), dtype=np.float64),
+        np.full((nscen, n), -1, dtype=np.int64),
+        np.empty((nscen, n), dtype=np.int64),
+        np.empty((nscen, n), dtype=np.float64),
+        np.zeros((nscen, 2), dtype=np.int64),
+        np.zeros((nscen, 2), dtype=np.float64),
+    )
+
+
 @dataclass
 class EngineState:
     """Mutable state of one :class:`SchedulerEngine` run.
@@ -323,8 +332,8 @@ class EngineState:
     pending:
         per-node count of children that have not completed yet; a node
         becomes ready when its counter reaches zero. (Populated by the
-        pure-Python backend only; kernel backends keep their state in
-        typed arrays and report the summary fields below.)
+        pure-Python backend only; the C kernel keeps its state in
+        typed arrays and reports the summary fields below.)
     free_procs:
         idle processor indices (popped from the tail, so processor 0 is
         assigned first).
@@ -381,9 +390,9 @@ class SchedulerEngine:
         raising :class:`MemoryCapError`.
     backend:
         ``"auto"`` (default; also via the ``REPRO_ENGINE_BACKEND``
-        environment variable), ``"python"``, ``"numba"``, ``"c"`` or
-        ``"kernel"`` -- see the module docstring. All backends are
-        bit-identical; explicitly requesting an unavailable one raises
+        environment variable), ``"python"`` or ``"c"`` -- see the
+        module docstring. Both backends are bit-identical; explicitly
+        requesting ``"c"`` where it cannot build raises
         :class:`BackendUnavailableError` at construction time.
     """
 
@@ -444,7 +453,7 @@ class SchedulerEngine:
         self._byrank = byrank
         # Integral weights (the paper's data sets and the Pebble-Game
         # regime) let the reference backend use exact integer event keys
-        # ``end * n + node``; the kernel backends always use a
+        # ``end * n + node``; the C kernel always uses a
         # (float64 end, node) pair heap, whose order coincides as long
         # as every completion time is exactly representable in a
         # float64 (total weight below 2**53). Both flags are pure
@@ -461,14 +470,14 @@ class SchedulerEngine:
 
         Both :func:`repro.parallel.list_schedule` and
         :func:`repro.parallel.memory_bounded_schedule` end up here. The
-        kernel backends are only engaged when their float64 event keys
+        C kernel is only engaged when its float64 event keys
         are exactly equivalent to the reference backend's integer
         encoding (always true except for integral weights totalling
         >= 2**53, where the sweep silently falls back to the reference
         loop so the bit-identity contract holds unconditionally).
         """
-        if self.backend != "python" and self._kernel_exact:
-            self.backend_used = self.backend
+        if self.backend == "c" and self._kernel_exact:
+            self.backend_used = "c"
             return self._run_kernel()
         self.backend_used = "python"
         return self._run_python()
@@ -530,12 +539,12 @@ class SchedulerEngine:
         return Schedule(tree, start, proc, self.p)
 
     def _run_kernel(self) -> Schedule:
-        """Dispatch the sweep to the selected kernel-spec backend."""
+        """Run the sweep through the C kernel."""
         tree = self.tree
         n = tree.n
         parent = tree.parent
         # Run-invariant typed columns come from the prepared bundle; the
-        # kernels mutate ``pending``, so they lease a scratch slot for
+        # kernel mutates ``pending``, so it leases a scratch slot for
         # the duration of the sweep (refilled from the pristine counts,
         # no allocation; exclusive per in-flight sweep, so one shared
         # PreparedTree is safe under concurrent Python threads).
@@ -546,7 +555,7 @@ class SchedulerEngine:
         sigma = self.order if capped else np.empty(0, dtype=np.int64)
         start, end, proc, activation, mem_trace, status, finals = sweep_arrays(n)
         with self.prepared.lease_scratch() as pending:
-            args = (
+            _ckernel.kernel(
                 parent,
                 pending,
                 w,
@@ -566,14 +575,6 @@ class SchedulerEngine:
                 status,
                 finals,
             )
-            if self.backend == "numba":
-                _sweep.JIT_KERNEL(*args)
-            elif self.backend == "c":
-                from . import _ckernel
-
-                _ckernel.kernel(*args)
-            else:  # "kernel": the interpreted spec
-                _sweep.PY_KERNEL(*args)
         return self._finish_kernel(
             start, end, proc, activation, mem_trace, status, finals
         )
@@ -583,8 +584,8 @@ class SchedulerEngine:
         """The pure-Python reference backend: a heapq event loop over
         Python lists (numpy scalar indexing inside a tight loop costs
         ~100ns per access, so all per-node arrays are converted to
-        lists once). This loop *defines* the schedule semantics; the
-        kernel backends mirror it statement for statement."""
+        lists once). This loop *defines* the schedule semantics; the C
+        kernel mirrors it statement for statement."""
         tree = self.tree
         n = tree.n
         prepared = self.prepared
@@ -784,70 +785,6 @@ class BatchRun:
         return list(self.outcomes)
 
 
-def _batch_via_single(
-    resolved: str, kernel_idx: list[int], engines, prepared, args
-) -> None:
-    """Sweep the stacked batch through the single-scenario kernel.
-
-    The fork-safe fallback of :func:`sweep_batch`: same stacked inputs,
-    same output rows, one kernel call per scenario -- no thread runtime
-    touched, results bit-identical to the batched call.
-    """
-    (
-        parent,
-        pending0,
-        w,
-        ranks,
-        byranks,
-        rank_id,
-        ps,
-        modes,
-        cap_eps,
-        alloc,
-        free_on_end,
-        sigmas,
-        sigma_id,
-        start,
-        end,
-        proc,
-        activation,
-        mem_trace,
-        status,
-        finals,
-    ) = args
-    if resolved == "c":
-        from . import _ckernel
-
-        fn = _ckernel.kernel
-    else:
-        fn = _sweep.JIT_KERNEL
-    empty = sigmas[0][:0]
-    for j in range(ps.shape[0]):
-        sid = int(sigma_id[j])
-        rid = int(rank_id[j])
-        with prepared.lease_scratch() as pending:
-            fn(
-                parent,
-                pending,
-                w,
-                ranks[rid],
-                byranks[rid],
-                int(ps[j]),
-                int(modes[j]),
-                float(cap_eps[j]),
-                alloc,
-                free_on_end,
-                sigmas[sid] if sid >= 0 else empty,
-                start[j],
-                end[j],
-                proc[j],
-                activation[j],
-                mem_trace[j],
-                status[j],
-                finals[j],
-            )
-
-
 def sweep_batch(
     tree: TaskTree | PreparedTree,
     scenarios: list[BatchScenario],
@@ -858,14 +795,11 @@ def sweep_batch(
     """Sweep a whole scenario grid against one tree in one kernel call.
 
     Stacks the per-scenario parameters (p, memory mode, rank ids, sigma
-    ids) and dispatches a single batched kernel call -- OpenMP-threaded
-    across scenarios in the C backend, ``numba.prange`` in the numba
-    backend, a plain loop over the single-scenario sweep in the
-    python/interpreted backends. Per-scenario results are
-    **bit-identical** to running each scenario through
-    :class:`SchedulerEngine` individually, for every backend and any
-    thread count: scenarios share only read-only columns and each sweeps
-    over private scratch.
+    ids) and dispatches a single batched C kernel call, OpenMP-threaded
+    across scenarios. Per-scenario results are **bit-identical** to
+    running each scenario through :class:`SchedulerEngine`
+    individually, for either backend and any thread count: scenarios
+    share only read-only columns and each sweeps over private scratch.
 
     Scenarios the kernel contract excludes -- ``backend="python"``, or
     integral weights >= 2**53 where float64 event keys lose exactness --
@@ -893,7 +827,7 @@ def sweep_batch(
     outcomes: list[Schedule | Exception] = [None] * len(engines)  # type: ignore[list-item]
     kernel_idx: list[int] = []
     for i, e in enumerate(engines):
-        if e.backend != "python" and e._kernel_exact:
+        if e.backend == "c" and e._kernel_exact:
             kernel_idx.append(i)
         else:
             # per-scenario exactness/backend fallback: run() takes the
@@ -940,7 +874,11 @@ def sweep_batch(
         start, end, proc, activation, mem_trace, status, finals = batch_arrays(
             nscen, n
         )
-        args = (
+        # A forked child of a parallel-tainted parent must not re-enter
+        # the OpenMP runtime (it could deadlock); threads=1 sweeps the
+        # stacks serially without touching it -- same rows, bit-identical.
+        batch_threads = 1 if _FORK_UNSAFE else nthreads
+        _ckernel.batch_kernel(
             prepared.tree.parent,
             prepared.pending0,
             prepared.tree.w,
@@ -961,40 +899,13 @@ def sweep_batch(
             mem_trace,
             status,
             finals,
+            threads=batch_threads,
         )
-        if _FORK_UNSAFE and resolved in ("numba", "c"):
-            # forked child of a parallel-tainted parent: re-entering the
-            # thread runtime could deadlock, so sweep the stacks through
-            # the single-scenario kernel instead -- same kernel, same
-            # rows, bit-identical results.
-            _batch_via_single(resolved, kernel_idx, engines, prepared, args)
-        elif resolved == "numba":
-            import numba
-
-            # numba threads are a process-global; clamp to the launch
-            # cap, restore afterwards so nested callers are unaffected.
-            old = numba.get_num_threads()
-            numba.set_num_threads(
-                max(1, min(nthreads, numba.config.NUMBA_NUM_THREADS))
-            )
-            try:
-                _sweep.JIT_BATCH(*args)
-            finally:
-                numba.set_num_threads(old)
-            # parallel=True engages the threading layer regardless of
-            # the thread count, so any fork from here on is tainted.
+        if batch_threads > 1 and _ckernel.openmp_enabled():
             _note_parallel_used()
-        elif resolved == "c":
-            from . import _ckernel
-
-            _ckernel.batch_kernel(*args, threads=nthreads)
-            if nthreads > 1 and _ckernel.openmp_enabled():
-                _note_parallel_used()
-        else:  # "kernel": the interpreted spec, serial loop
-            _sweep.PY_BATCH(*args)
         for j, i in enumerate(kernel_idx):
             e = engines[i]
-            e.backend_used = e.backend
+            e.backend_used = "c"
             try:
                 outcomes[i] = e._finish_kernel(
                     start[j],

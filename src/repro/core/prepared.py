@@ -273,7 +273,7 @@ class PreparedTree:
 
     @property
     def kernel_exact(self) -> bool:
-        """True when the kernel backends' float64 event keys are exactly
+        """True when the C kernel's float64 event keys are exactly
         equivalent to the reference backend's encoding."""
         return self._exactness_flags()[1]
 

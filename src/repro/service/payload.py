@@ -39,6 +39,7 @@ import json
 from typing import Any, Iterable
 
 from repro.analysis.campaign import Campaign
+from repro.core.engine import BACKENDS
 from repro.core.tree import TaskTree
 from repro.workloads.dataset import PROCESSOR_COUNTS, TreeInstance
 
@@ -146,9 +147,15 @@ def canonical_spec(spec: Any) -> dict:
         _fail(f"spec.campaign: {exc}")
     if not procs or any(p < 1 for p in procs):
         _fail("spec.campaign.processor_counts must be positive integers")
+    # "auto" is rejected: null is the one spelling of the default, so
+    # equivalent specs keep one job id
     backend = camp.get("backend")
-    if backend is not None and backend not in ("c", "numba", "python"):
-        _fail(f"spec.campaign.backend must be c|numba|python, got {backend!r}")
+    concrete = [b for b in BACKENDS if b != "auto"]
+    if backend is not None and backend not in concrete:
+        _fail(
+            f"spec.campaign.backend must be {'|'.join(concrete)} or null, "
+            f"got {backend!r}"
+        )
     validate = bool(camp.get("validate", False))
     canon_campaign = {
         "algorithms": list(algorithms),

@@ -1,18 +1,16 @@
 """Cross-backend golden equivalence for the event-sweep kernel spec.
 
-The engine now runs its sweep on pluggable backends (pure-Python
-reference, numba-jitted kernel, C kernel, interpreted kernel). The
-acceptance contract of that refactor is *bit identity*: every backend
-must produce byte-for-byte the same :class:`~repro.core.schedule.Schedule`
-(and the same activation order / peak-memory trace) for every registered
-heuristic and both memory modes -- so perf work can never silently
-change paper results. This suite pins that contract, plus the
-selection/fallback edge cases around optional dependencies.
+The engine runs its sweep on two backends: the pure-Python reference
+loop and the C kernel. The acceptance contract is *bit identity*: the
+C kernel must produce byte-for-byte the same
+:class:`~repro.core.schedule.Schedule` (and the same activation order /
+peak-memory trace) as the reference for every registered heuristic and
+both memory modes -- so perf work can never silently change paper
+results. This suite pins that contract, plus the selection/fallback
+edge cases around the optional toolchain.
 
-Which compiled backends exist depends on the environment (numba is an
-optional extra; the C kernel needs a toolchain). The interpreted
-``"kernel"`` backend is always available, so the kernel *logic* is
-covered everywhere; the CI matrix adds the with/without-numba legs.
+The C kernel needs a C toolchain; where none exists the C tests skip
+and the reference backend is still covered.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import registry
-from repro.core import _sweep
+from repro.core import _ckernel
 from repro.core.engine import (
-    BACKENDS,
     BACKEND_ENV_VAR,
     BackendUnavailableError,
     MemoryCapError,
@@ -40,12 +37,12 @@ from repro.workloads.synthetic import random_weighted_tree
 
 from tests.conftest import task_trees
 
-#: every backend other than the reference, available or not
-ALT_BACKENDS = [b for b in BACKENDS if b not in ("auto", "python")]
-#: the ones that can actually run here ("kernel" always can)
-AVAILABLE_ALT = [b for b in ALT_BACKENDS if b in available_backends()]
-#: the fastest compiled backend available (used by the property test)
-BEST_ALT = AVAILABLE_ALT[0]
+#: marks a test that runs the C kernel (skipped where it cannot build)
+needs_c = pytest.mark.skipif(
+    not _ckernel.available(), reason="C kernel unavailable (no C toolchain)"
+)
+#: the compiled backend as a test parameter, skipped where it cannot build
+COMPILED = [pytest.param("c", marks=needs_c)]
 
 ENGINE_HEURISTICS = [
     name
@@ -90,8 +87,7 @@ def assert_same_schedule(got, ref):
 # ----------------------------------------------------------------------
 class TestSelection:
     def test_reference_backends_always_available(self):
-        avail = available_backends()
-        assert "python" in avail and "kernel" in avail
+        assert "python" in available_backends()
 
     def test_available_backends_are_constructible(self, star5):
         for b in available_backends():
@@ -99,12 +95,12 @@ class TestSelection:
             assert engine.backend == b
 
     def test_unknown_backend_rejected(self, star5):
-        with pytest.raises(ValueError, match="unknown backend"):
-            SchedulerEngine(star5, 2, np.arange(5), backend="fortran")
+        for name in ("fortran", "numba", "kernel"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                SchedulerEngine(star5, 2, np.arange(5), backend=name)
 
     def test_auto_resolves_to_an_available_backend(self):
         assert resolve_backend("auto") in available_backends()
-        assert resolve_backend("auto") != "kernel"  # never the slow path
 
     def test_env_var_is_the_default(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
@@ -112,30 +108,13 @@ class TestSelection:
         monkeypatch.delenv(BACKEND_ENV_VAR)
         assert resolve_backend(None) == resolve_backend("auto")
 
-    def test_auto_prefers_numba_then_c_then_python(self, monkeypatch):
-        from repro.core import _ckernel
-
-        if _sweep.HAVE_NUMBA:
-            assert resolve_backend("auto") == "numba"
-        monkeypatch.setattr(_sweep, "HAVE_NUMBA", False)
+    def test_auto_prefers_c_then_python(self, monkeypatch):
         expected = "c" if _ckernel.available() else "python"
         assert resolve_backend("auto") == expected
         monkeypatch.setattr(_ckernel, "_BUILD", (None, "simulated: no toolchain"))
         assert resolve_backend("auto") == "python"
 
-    @pytest.mark.skipif(_sweep.HAVE_NUMBA, reason="numba is installed here")
-    def test_numba_missing_raises_clear_error(self, star5):
-        with pytest.raises(BackendUnavailableError, match=r"repro-trees\[fast\]"):
-            SchedulerEngine(star5, 2, np.arange(5), backend="numba")
-
-    @pytest.mark.skipif(not _sweep.HAVE_NUMBA, reason="numba not installed")
-    def test_numba_available_resolves(self):
-        assert resolve_backend("numba") == "numba"
-        assert resolve_backend("auto") == "numba"
-
     def test_c_unavailable_raises_with_reason(self, star5, monkeypatch):
-        from repro.core import _ckernel
-
         monkeypatch.setattr(_ckernel, "_BUILD", (None, "simulated: no toolchain"))
         with pytest.raises(BackendUnavailableError, match="simulated: no toolchain"):
             SchedulerEngine(star5, 2, np.arange(5), backend="c")
@@ -171,9 +150,9 @@ class TestProbeBackend:
         assert skipped == []
 
     def test_probe_degrades_on_injected_compile_failure(self, monkeypatch):
-        """A broken C toolchain (injected) degrades c -> numba ->
-        python instead of failing the worker, and the skip reasons are
-        recorded for the run report."""
+        """A broken C toolchain (injected) degrades c -> python instead
+        of failing the worker, and the skip reasons are recorded for the
+        run report."""
         from repro.core.engine import probe_backend
         from repro.testing import faults
 
@@ -183,11 +162,11 @@ class TestProbeBackend:
             chosen, skipped = probe_backend("c")
         finally:
             faults.install(None)
-        assert chosen != "c"
-        assert chosen in ("numba", "python")
+        assert chosen == "python"
         reasons = {b: why for b, why in skipped}
         assert "injected compile failure" in reasons["c"]
 
+    @needs_c  # the sabotaged python backend must degrade to a working one
     def test_probe_runs_a_real_sweep(self, monkeypatch):
         """Backends that resolve but cannot *run* are skipped too: the
         probe executes a real two-node sweep, not just a lookup."""
@@ -265,11 +244,11 @@ class TestProbeBackend:
 
 
 # ----------------------------------------------------------------------
-# golden equivalence: every heuristic, both memory modes, all backends
+# golden equivalence: every heuristic, both memory modes, C vs python
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(ENGINE_HEURISTICS))
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
+    @pytest.mark.parametrize("backend", COMPILED)
     def test_heuristics_bit_identical(self, tree, name, backend):
         for p in (1, 2, 4, 8):
             ref = registry.run(name, tree, p, backend="python")
@@ -277,7 +256,7 @@ class TestBackendEquivalence:
             assert_same_schedule(got, ref)
 
     @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
+    @pytest.mark.parametrize("backend", COMPILED)
     def test_memory_modes_bit_identical(self, tree, mode, backend):
         res = optimal_postorder(tree)
         for p in (1, 2, 4):
@@ -300,7 +279,7 @@ class TestBackendEquivalence:
                 )
                 assert_same_schedule(got, ref)
 
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
+    @pytest.mark.parametrize("backend", COMPILED)
     def test_sweep_spec_outputs_bit_identical(self, tree, backend):
         """activation order and peak-memory trace match the reference
         backend exactly (the kernel spec's extra output arrays)."""
@@ -328,7 +307,7 @@ class TestBackendEquivalence:
             # the activation order is chronological and complete
             assert sorted(got.activation.tolist()) == list(range(tree.n))
 
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
+    @pytest.mark.parametrize("backend", COMPILED)
     def test_engine_state_summary(self, star5, backend):
         engine = SchedulerEngine(star5, 2, np.arange(5), backend=backend)
         schedule = engine.run()
@@ -344,7 +323,7 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 class TestPreparedEquivalence:
     @pytest.mark.parametrize("name", sorted(registry.names("parallel")))
-    @pytest.mark.parametrize("backend", ["python"] + AVAILABLE_ALT)
+    @pytest.mark.parametrize("backend", ["python"] + COMPILED)
     def test_heuristics_bit_identical(self, tree, name, backend):
         from repro.core.prepared import PreparedTree
 
@@ -356,7 +335,7 @@ class TestPreparedEquivalence:
             assert_same_schedule(got, ref)
 
     @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    @pytest.mark.parametrize("backend", ["python"] + AVAILABLE_ALT)
+    @pytest.mark.parametrize("backend", ["python"] + COMPILED)
     def test_memory_modes_bit_identical(self, tree, mode, backend):
         from repro.core.prepared import PreparedTree
 
@@ -376,7 +355,7 @@ class TestPreparedEquivalence:
                         outcomes.append(("err", str(exc)))
                 assert outcomes[0] == outcomes[1], (mode, p, factor)
 
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
+    @pytest.mark.parametrize("backend", COMPILED)
     def test_sweep_spec_outputs_bit_identical(self, tree, backend):
         """activation order / peak-memory trace / finals also match when
         the engine runs against a shared preparation."""
@@ -401,12 +380,12 @@ class TestExactnessFallback:
     def huge_int_tree(self) -> TaskTree:
         # integral weights in the reference backend's integer-key regime
         # (total * n < 2**62) whose completion times exceed 2**53: the
-        # kernels' float64 event keys cannot represent them exactly, so
-        # kernel backends must step aside
+        # C kernel's float64 event keys cannot represent them exactly,
+        # so it must step aside
         w = np.full(3, float(2**52))
         return TaskTree(np.asarray([-1, 0, 0]), w, np.ones(3), np.ones(3))
 
-    @pytest.mark.parametrize("backend", AVAILABLE_ALT)
+    @pytest.mark.parametrize("backend", COMPILED)
     def test_huge_integral_weights_fall_back_to_python(self, backend):
         tree = self.huge_int_tree()
         engine = SchedulerEngine(tree, 2, np.arange(3), backend=backend)
@@ -415,25 +394,27 @@ class TestExactnessFallback:
         assert engine.backend == backend  # selection is unchanged...
         assert engine.backend_used == "python"  # ...the sweep fell back
 
+    @needs_c
     def test_normal_trees_do_not_fall_back(self, star5):
-        engine = SchedulerEngine(star5, 2, np.arange(5), backend=AVAILABLE_ALT[0])
+        engine = SchedulerEngine(star5, 2, np.arange(5), backend="c")
         engine.run()
-        assert engine.backend_used == AVAILABLE_ALT[0]
+        assert engine.backend_used == "c"
 
 
 # ----------------------------------------------------------------------
 # hypothesis: random trees with heavy priority-rank ties
 # ----------------------------------------------------------------------
+@needs_c
 class TestPropertyEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(tree=task_trees(max_nodes=40, max_w=3, max_f=3), p=st.integers(1, 5))
     def test_python_and_compiled_backends_agree(self, tree, p):
-        """The reference and the best compiled backend agree on random
+        """The reference and the C backend agree on random
         trees whose tiny weight ranges force ties in every priority key
         column (resolved inside lex_rank by node index)."""
         rank = par_deepest_first_rank(tree)
         ref = SchedulerEngine(tree, p, rank, backend="python").run()
-        got = SchedulerEngine(tree, p, rank, backend=BEST_ALT).run()
+        got = SchedulerEngine(tree, p, rank, backend="c").run()
         assert_same_schedule(got, ref)
 
     @settings(max_examples=40, deadline=None)
@@ -448,11 +429,11 @@ class TestPropertyEquivalence:
         except MemoryCapError:
             with pytest.raises(MemoryCapError):
                 memory_bounded_schedule(
-                    tree, p, cap, order=res.order, mode="opportunistic", backend=BEST_ALT
+                    tree, p, cap, order=res.order, mode="opportunistic", backend="c"
                 )
             return
         got = memory_bounded_schedule(
-            tree, p, cap, order=res.order, mode="opportunistic", backend=BEST_ALT
+            tree, p, cap, order=res.order, mode="opportunistic", backend="c"
         )
         assert_same_schedule(got, ref)
 
@@ -483,29 +464,32 @@ class TestPipelinePlumbing:
             for i in range(3)
         ]
 
+    @needs_c
     def test_run_experiments_backend_is_byte_identical(self):
         from repro.analysis.experiments import run_experiments
 
         instances = self.instances()
         names = ("ParDeepestFirst", "ParSubtrees", "MemoryBounded")
         ref = run_experiments(instances, (2, 4), heuristics=names, backend="python")
-        got = run_experiments(instances, (2, 4), heuristics=names, backend=BEST_ALT)
+        got = run_experiments(instances, (2, 4), heuristics=names, backend="c")
         assert got == ref
 
+    @needs_c
     def test_env_backend_propagates_to_pool_workers(self, monkeypatch):
         """REPRO_ENGINE_BACKEND set in the parent is inherited by fork
         pool workers (their ``resolve_backend(None)`` sees it), while a
         per-call ``backend=`` override still wins inside the worker."""
         import multiprocessing
 
-        monkeypatch.setenv(BACKEND_ENV_VAR, "kernel")  # never auto-selected
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")  # auto would pick c
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=2) as pool:
-            results = pool.map(_worker_resolve, [None, "python", None])
-        assert results[0] == ("kernel", "kernel")
-        assert results[1] == ("kernel", "python")  # override beats the env
-        assert results[2] == ("kernel", "kernel")
+            results = pool.map(_worker_resolve, [None, "c", None])
+        assert results[0] == ("python", "python")
+        assert results[1] == ("python", "c")  # override beats the env
+        assert results[2] == ("python", "python")
 
+    @needs_c
     def test_env_default_with_per_call_override_in_workers(self, monkeypatch):
         """run_experiments: env backend in the parent + an explicit
         ``backend=`` override fanned to pool workers are byte-identical
@@ -515,12 +499,12 @@ class TestPipelinePlumbing:
         instances = self.instances()
         names = ("ParDeepestFirst", "MemoryBounded")
         ref = run_experiments(instances, (2, 4), heuristics=names)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "kernel")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
         env_only = run_experiments(
             instances, (2, 4), heuristics=names, workers=2
         )
         overridden = run_experiments(
-            instances, (2, 4), heuristics=names, workers=2, backend="python"
+            instances, (2, 4), heuristics=names, workers=2, backend="c"
         )
         assert env_only == ref
         assert overridden == ref

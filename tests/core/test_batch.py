@@ -2,8 +2,8 @@
 
 The batched entry point (:func:`repro.core.engine.sweep_batch`) stacks
 an (algorithm x p x cap) grid into one kernel call, thread-parallel in
-the compiled backends. Its acceptance contract extends the backend
-golden tests: per-scenario results must be **byte-identical** to the
+the C backend. Its acceptance contract extends the backend golden
+tests: per-scenario results must be **byte-identical** to the
 unbatched path for every registered heuristic x backend x memory mode,
 independent of the thread count -- including error outcomes (an
 infeasible cap raises the same message at the same slice position) and
@@ -32,14 +32,14 @@ from repro.workloads.synthetic import random_weighted_tree
 
 from tests.conftest import task_trees
 from tests.core.test_backends import (
-    AVAILABLE_ALT,
-    BEST_ALT,
+    COMPILED,
     assert_same_schedule,
+    needs_c,
     tree_spread,
 )
 
-#: the megabatch matrix: reference loop + every compiled backend here
-BATCH_BACKENDS = ["python"] + AVAILABLE_ALT
+#: the megabatch matrix: reference loop + the C kernel
+BATCH_BACKENDS = ["python"] + COMPILED
 
 #: algorithms with a registered sweep spec (every engine-backed one)
 BATCHABLE = [a.name for a in registry.algorithms("parallel") if a.sweep_spec]
@@ -99,17 +99,18 @@ class TestBitIdentityMatrix:
         assert run.backend == backend
         assert_outcomes_match(run, refs, labels)
 
+    @needs_c
     def test_engines_expose_full_sweep_state(self):
         """Batch engines carry the same sweep/state as unbatched runs
         (activation order, memory trace, final clock), not just the
         schedule arrays."""
         prepared = PreparedTree(tree_spread()[4])
         specs, _ = grid(prepared)
-        run = sweep_batch(prepared, specs, backend=BEST_ALT, threads=2)
+        run = sweep_batch(prepared, specs, backend="c", threads=2)
         for engine, spec, outcome in zip(run.engines, specs, run.outcomes):
             if isinstance(outcome, Exception):
                 continue
-            assert engine.backend_used == BEST_ALT
+            assert engine.backend_used == "c"
             ref = SchedulerEngine(
                 prepared,
                 spec.p,
@@ -127,24 +128,17 @@ class TestBitIdentityMatrix:
             assert engine.sweep.now == ref.sweep.now
             assert engine.sweep.mem == ref.sweep.mem
 
+    @needs_c
     def test_threads_do_not_change_results(self):
         prepared = PreparedTree(tree_spread()[2])
         specs, labels = grid(prepared)
-        baseline = sweep_batch(prepared, specs, backend=BEST_ALT, threads=1)
-        base_bytes = [
-            None if isinstance(o, Exception) else (o.start.tobytes(), o.proc.tobytes())
-            for o in baseline.outcomes
-        ]
+        baseline = sweep_batch(prepared, specs, backend="c", threads=1)
+        base_bytes = _outcome_bytes(baseline)
         for threads in (2, 8):
-            run = sweep_batch(prepared, specs, backend=BEST_ALT, threads=threads)
-            got = [
-                None
-                if isinstance(o, Exception)
-                else (o.start.tobytes(), o.proc.tobytes())
-                for o in run.outcomes
-            ]
-            assert got == base_bytes  # byte-identical for any thread count
+            run = sweep_batch(prepared, specs, backend="c", threads=threads)
+            assert _outcome_bytes(run) == base_bytes  # any thread count
 
+    @needs_c
     def test_schedules_raises_the_stored_error(self):
         tree = tree_spread()[4]
         prepared = PreparedTree(tree)
@@ -153,7 +147,7 @@ class TestBitIdentityMatrix:
             algo.batch_spec(prepared, 2),
             algo.batch_spec(prepared, 4, cap_factor=1.0, mode="opportunistic"),
         ]
-        run = sweep_batch(prepared, specs, backend=BEST_ALT)
+        run = sweep_batch(prepared, specs, backend="c")
         try:
             registry.run(
                 "MemoryBounded", prepared, 4, cap_factor=1.0, mode="opportunistic"
@@ -166,6 +160,7 @@ class TestBitIdentityMatrix:
         else:  # the cap happens to be feasible on this tree
             assert len(run.schedules()) == 2
 
+    @needs_c
     @settings(max_examples=25, deadline=None)
     @given(tree=task_trees(max_nodes=40, max_w=2, max_f=1), p=st.integers(1, 5))
     def test_property_tie_heavy_grids(self, tree, p):
@@ -174,7 +169,7 @@ class TestBitIdentityMatrix:
         prepared = PreparedTree(tree)
         specs, labels = grid(prepared)
         refs = reference_outcomes(prepared, labels)
-        run = sweep_batch(prepared, specs, backend=BEST_ALT, threads=3)
+        run = sweep_batch(prepared, specs, backend="c", threads=3)
         assert_outcomes_match(run, refs, labels)
 
 
@@ -182,6 +177,7 @@ class TestBitIdentityMatrix:
 # per-scenario exactness fallback (integral weights >= 2**53)
 # ----------------------------------------------------------------------
 class TestExactnessFallback:
+    @needs_c
     def test_huge_integral_weights_fall_back_per_scenario(self):
         # 3 integral weights of 2**52 sum past 2**53: float64 event keys
         # can no longer represent every completion time exactly, so each
@@ -195,7 +191,7 @@ class TestExactnessFallback:
         specs = [
             registry.get("ParDeepestFirst").batch_spec(prepared, p) for p in (1, 2, 3)
         ]
-        run = sweep_batch(prepared, specs, backend=BEST_ALT, threads=2)
+        run = sweep_batch(prepared, specs, backend="c", threads=2)
         for engine, p in zip(run.engines, (1, 2, 3)):
             assert engine.backend_used == "python"  # fell back, per scenario
         for schedule, p in zip(run.schedules(), (1, 2, 3)):
@@ -244,10 +240,46 @@ class TestStackingHelpers:
             PreparedTree(chain5).pending_scratch(-1)
 
 
+def _outcome_bytes(run) -> list:
+    return [
+        None if isinstance(o, Exception) else (o.start.tobytes(), o.proc.tobytes())
+        for o in run.outcomes
+    ]
+
+
+def _forked_grid_sweep(tree_index: int) -> tuple[bool, list]:
+    """Sweep one test grid in a forked pool worker; report whether the
+    worker inherited the parent's OpenMP taint (top-level so the fork
+    pool can pickle it)."""
+    from repro.core import engine
+
+    prepared = PreparedTree(tree_spread()[tree_index])
+    specs, _ = grid(prepared)
+    run = sweep_batch(prepared, specs, backend="c", threads=2)
+    return engine._FORK_UNSAFE, _outcome_bytes(run)
+
+
 # ----------------------------------------------------------------------
 # threading knobs
 # ----------------------------------------------------------------------
 class TestThreads:
+    @needs_c
+    def test_forked_child_of_threaded_parent_batches_identically(self):
+        """A worker forked after the parent ran a threaded batch must not
+        re-enter OpenMP: it sweeps serially, with the same results."""
+        import multiprocessing
+
+        from repro.core import _ckernel
+
+        prepared = PreparedTree(tree_spread()[2])
+        specs, _ = grid(prepared)
+        parent = _outcome_bytes(sweep_batch(prepared, specs, backend="c", threads=2))
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(processes=1) as pool:
+            tainted, child = pool.apply_async(_forked_grid_sweep, (2,)).get(timeout=120)
+        assert child == parent
+        assert tainted == _ckernel.openmp_enabled()
+
     def test_env_var_overrides_default(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "3")
         assert default_threads() == 3
@@ -432,7 +464,7 @@ class TestCompileCacheKeys:
         monkeypatch.setenv(_ckernel.NO_OPENMP_ENV_VAR, "1")
         assert _ckernel._build_flags() == [["-O3", "-shared", "-fPIC"]]
 
-    @pytest.mark.skipif("c" not in AVAILABLE_ALT, reason="no C toolchain")
+    @needs_c
     def test_serial_rebuild_lands_in_a_distinct_artifact(self, tmp_path, monkeypatch):
         """REPRO_NO_OPENMP in a fresh cache dir compiles a second .so
         under the serial flags' digest -- no collision, openmp off."""

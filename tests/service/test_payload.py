@@ -82,6 +82,14 @@ class TestValidation:
              "does not expand"),
             (lambda s: s["campaign"].update(processor_counts=[0]), "positive"),
             (lambda s: s["campaign"].update(backend="fortran"), "backend"),
+            # removed backends and "auto" (null spells the default) are
+            # rejected with the valid values listed
+            (lambda s: s["campaign"].update(backend="numba"),
+             r"backend must be python\|c or null"),
+            (lambda s: s["campaign"].update(backend="kernel"),
+             r"backend must be python\|c or null"),
+            (lambda s: s["campaign"].update(backend="auto"),
+             r"backend must be python\|c or null"),
             (lambda s: s.update(run={"retries": -1}), "retries"),
             (lambda s: s.update(extra=1), "unknown"),
         ],
