@@ -9,8 +9,11 @@ both memory modes -- so perf work can never silently change paper
 results. This suite pins that contract, plus the selection/fallback
 edge cases around the optional toolchain.
 
-The C kernel needs a C toolchain; where none exists the C tests skip
-and the reference backend is still covered.
+Every C case runs against both builds of the kernel source, the
+OpenMP one and the serial one (``"c"`` and ``"c-serial"``; see
+``tests/core/conftest.py``). The C kernel needs a C toolchain; where
+none exists the C tests skip and the reference backend is still
+covered.
 """
 
 from __future__ import annotations
@@ -41,8 +44,13 @@ from tests.conftest import task_trees
 needs_c = pytest.mark.skipif(
     not _ckernel.available(), reason="C kernel unavailable (no C toolchain)"
 )
-#: the compiled backend as a test parameter, skipped where it cannot build
-COMPILED = [pytest.param("c", marks=needs_c)]
+#: the C kernel's two builds as test parameters, skipped where it cannot
+#: build; tests parametrize ``backend`` over them with ``indirect=True``
+#: (the ``backend`` fixture in conftest installs the serial library)
+COMPILED = [
+    pytest.param("c", marks=needs_c),
+    pytest.param("c-serial", marks=needs_c),
+]
 
 ENGINE_HEURISTICS = [
     name
@@ -248,7 +256,7 @@ class TestProbeBackend:
 # ----------------------------------------------------------------------
 class TestBackendEquivalence:
     @pytest.mark.parametrize("name", sorted(ENGINE_HEURISTICS))
-    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("backend", COMPILED, indirect=True)
     def test_heuristics_bit_identical(self, tree, name, backend):
         for p in (1, 2, 4, 8):
             ref = registry.run(name, tree, p, backend="python")
@@ -256,7 +264,7 @@ class TestBackendEquivalence:
             assert_same_schedule(got, ref)
 
     @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("backend", COMPILED, indirect=True)
     def test_memory_modes_bit_identical(self, tree, mode, backend):
         res = optimal_postorder(tree)
         for p in (1, 2, 4):
@@ -279,7 +287,7 @@ class TestBackendEquivalence:
                 )
                 assert_same_schedule(got, ref)
 
-    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("backend", COMPILED, indirect=True)
     def test_sweep_spec_outputs_bit_identical(self, tree, backend):
         """activation order and peak-memory trace match the reference
         backend exactly (the kernel spec's extra output arrays)."""
@@ -307,7 +315,7 @@ class TestBackendEquivalence:
             # the activation order is chronological and complete
             assert sorted(got.activation.tolist()) == list(range(tree.n))
 
-    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("backend", COMPILED, indirect=True)
     def test_engine_state_summary(self, star5, backend):
         engine = SchedulerEngine(star5, 2, np.arange(5), backend=backend)
         schedule = engine.run()
@@ -323,7 +331,7 @@ class TestBackendEquivalence:
 # ----------------------------------------------------------------------
 class TestPreparedEquivalence:
     @pytest.mark.parametrize("name", sorted(registry.names("parallel")))
-    @pytest.mark.parametrize("backend", ["python"] + COMPILED)
+    @pytest.mark.parametrize("backend", ["python"] + COMPILED, indirect=True)
     def test_heuristics_bit_identical(self, tree, name, backend):
         from repro.core.prepared import PreparedTree
 
@@ -335,7 +343,7 @@ class TestPreparedEquivalence:
             assert_same_schedule(got, ref)
 
     @pytest.mark.parametrize("mode", ["strict", "opportunistic"])
-    @pytest.mark.parametrize("backend", ["python"] + COMPILED)
+    @pytest.mark.parametrize("backend", ["python"] + COMPILED, indirect=True)
     def test_memory_modes_bit_identical(self, tree, mode, backend):
         from repro.core.prepared import PreparedTree
 
@@ -355,7 +363,7 @@ class TestPreparedEquivalence:
                         outcomes.append(("err", str(exc)))
                 assert outcomes[0] == outcomes[1], (mode, p, factor)
 
-    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("backend", COMPILED, indirect=True)
     def test_sweep_spec_outputs_bit_identical(self, tree, backend):
         """activation order / peak-memory trace / finals also match when
         the engine runs against a shared preparation."""
@@ -385,7 +393,7 @@ class TestExactnessFallback:
         w = np.full(3, float(2**52))
         return TaskTree(np.asarray([-1, 0, 0]), w, np.ones(3), np.ones(3))
 
-    @pytest.mark.parametrize("backend", COMPILED)
+    @pytest.mark.parametrize("backend", COMPILED, indirect=True)
     def test_huge_integral_weights_fall_back_to_python(self, backend):
         tree = self.huge_int_tree()
         engine = SchedulerEngine(tree, 2, np.arange(3), backend=backend)

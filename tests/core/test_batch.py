@@ -38,7 +38,8 @@ from tests.core.test_backends import (
     tree_spread,
 )
 
-#: the megabatch matrix: reference loop + the C kernel
+#: the megabatch matrix: reference loop + both C kernel builds (OpenMP
+#: and serial; see conftest)
 BATCH_BACKENDS = ["python"] + COMPILED
 
 #: algorithms with a registered sweep spec (every engine-backed one)
@@ -89,7 +90,7 @@ def assert_outcomes_match(run, refs, labels) -> None:
 # the bit-identity matrix: heuristic x backend x memory mode
 # ----------------------------------------------------------------------
 class TestBitIdentityMatrix:
-    @pytest.mark.parametrize("backend", BATCH_BACKENDS)
+    @pytest.mark.parametrize("backend", BATCH_BACKENDS, indirect=True)
     @pytest.mark.parametrize("tree_index", range(8))
     def test_batched_equals_unbatched(self, backend, tree_index):
         prepared = PreparedTree(tree_spread()[tree_index])
